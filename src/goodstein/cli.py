@@ -98,21 +98,15 @@ def _emit_record(record: StepRecord, fmt: str, out: TextIO) -> None:
 
 def _emit_summary(outcome: RunOutcome, fmt: str, out: TextIO) -> None:
     if fmt == "jsonl":
-        print(
-            json.dumps(
-                {"status": outcome.status.value, "steps_emitted": outcome.steps_emitted}
-            ),
-            file=out,
-        )
+        summary = {"status": outcome.status.value, "steps_emitted": outcome.steps_emitted}
+        print(json.dumps(summary), file=out)
     else:
         print(f"# status={outcome.status.value} steps={outcome.steps_emitted}", file=out)
 
 
 def _certificate_json(cert: DescentCertificate) -> str:
     verdict = "AllStepsDescend" if cert.all_steps_descend else {"violation_at": cert.violation_at}
-    return json.dumps(
-        {"k": cert.k, "verdict": verdict, "steps_checked": len(cert.evidence)}
-    )
+    return json.dumps({"k": cert.k, "verdict": verdict, "steps_checked": len(cert.evidence)})
 
 
 def _emit_certificate(cert: DescentCertificate, fmt: str, out: TextIO) -> None:
@@ -153,9 +147,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         outcome = outcome_box["outcome"]
         _emit_summary(outcome, args.format, sys.stdout)
         _emit_certificate(cert, args.format, sys.stdout)
-        if not cert.all_steps_descend:
-            return 4
-        return 0
+        return 0 if cert.all_steps_descend else 4
     for _ in emitting():
         pass
     outcome = outcome_box["outcome"]
@@ -168,7 +160,7 @@ def _record_from_json(obj: dict) -> StepRecord:
         index=int(obj["index"]),
         base=int(obj["base"]),
         value=int(obj["value"]),
-        digits=tuple(int(d) for d in obj["digits"]),
+        digits=tuple(map(int, obj["digits"])),
         rendered=str(obj["rendered"]),
     )
 
@@ -199,9 +191,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         else:
             with open(args.path, encoding="utf-8") as handle:
                 records = _read_trace(handle)
-    except OSError as exc:
-        return _fail(str(exc))
-    except GoodsteinError as exc:
+    except (OSError, GoodsteinError) as exc:
         return _fail(str(exc))
     try:
         cert = verify_run(records)

@@ -8,9 +8,11 @@ machine-checkable certificate: the zero-padded digit tuple is a ranking
 function into the well-founded lexicographic order on fixed-arity tuples
 of naturals, and it strictly decreases each step.
 
-The verifier never assumes the property it checks. Records are validated
-for internal consistency first (StepMismatch guards against corrupted
-traces), and length, lex order, and arity are each checked explicitly.
+The verifier never assumes the property it checks. Every record, the seed
+included, is checked once: canonical digits that spell ``value`` in ``base``
+and match ``rendered``. Each successor's digits must be ``decrement_in_base``
+of its predecessor's in the new base, the transition ``sequences.run`` takes;
+length, lex order, and arity are each checked explicitly.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import ArityExceeded, EmptyRun, StepMismatch
-from .numerals import Digits, Ordering, lex_compare, to_digits
-from .sequences import StepRecord, weak_step
+from .errors import ArityExceeded, DomainError, EmptyRun, StepMismatch
+from .numerals import Digits, Ordering, decrement_in_base, from_digits, lex_compare, render
+from .sequences import StepRecord
 
 
 @dataclass(frozen=True)
@@ -61,21 +63,27 @@ class DescentCertificate:
 
 
 def _check_record(record: StepRecord) -> None:
-    if record.digits != to_digits(record.value, record.base):
+    """Raise StepMismatch unless the record's digits, value and rendering agree."""
+    digits, base = record.digits, record.base
+    try:
+        canonical = from_digits(digits, base) == record.value and (not digits or digits[0] > 0)
+    except DomainError:
+        canonical = False
+    if not canonical:
         raise StepMismatch(
-            record.index,
-            f"digits {list(record.digits)} do not spell value {record.value} in base {record.base}",
+            record.index, f"digits {list(digits)} do not spell value {record.value} in base {base}"
         )
+    if record.rendered != render(digits, base).text:
+        raise StepMismatch(record.index, f"rendered {record.rendered!r} does not match the digits")
 
 
 def check_step(prev: StepRecord, nxt: StepRecord) -> DescentEvidence:
-    """Score one adjacent pair of a weak run.
+    """Score one adjacent pair of a weak run whose ``prev`` is already checked.
 
-    Raises StepMismatch unless the records are self-consistent and related
-    by a genuine weak transition (index and base advance by one, value is
-    the weak successor); a corrupted trace must not be silently scored.
+    Raises StepMismatch unless ``nxt`` is self-consistent and follows by a
+    genuine weak transition (index and base advance by one, digits are
+    ``prev``'s decremented in the new base); a corrupted trace is never scored.
     """
-    _check_record(prev)
     _check_record(nxt)
     if nxt.index != prev.index + 1:
         raise StepMismatch(nxt.index, f"record index {nxt.index} does not follow {prev.index}")
@@ -83,11 +91,8 @@ def check_step(prev: StepRecord, nxt: StepRecord) -> DescentEvidence:
         raise StepMismatch(nxt.index, f"base {nxt.base} does not follow base {prev.base}")
     if prev.value == 0:
         raise StepMismatch(nxt.index, "predecessor value is already zero")
-    expected = weak_step(prev.value, prev.base)
-    if nxt.value != expected:
-        raise StepMismatch(
-            nxt.index, f"value {nxt.value} is not the weak successor {expected}"
-        )
+    if nxt.digits != decrement_in_base(prev.digits, nxt.base):
+        raise StepMismatch(nxt.index, f"value {nxt.value} is not a weak successor of {prev.value}")
     return DescentEvidence(
         step_index=nxt.index,
         prev_digits=prev.digits,
@@ -109,15 +114,17 @@ def _pivot(prev: Digits, nxt: Digits) -> Optional[int]:
 
 
 def verify_run(records: Iterable[StepRecord]) -> DescentCertificate:
-    """Check every adjacent pair of a weak-run trace.
+    """Check every record and every adjacent pair of a weak-run trace.
 
-    Consumes the record stream once. The verdict is the first failing
-    step, if any; evidence is kept for every pair either way.
+    Consumes the record stream once and checks each record once, the seed
+    included. The verdict is the first failing step, if any; evidence is
+    kept for every pair either way.
     """
     stream = iter(records)
     first = next(stream, None)
     if first is None:
         raise EmptyRun("a run holds at least its seed record")
+    _check_record(first)
     k = len(first.digits)
     evidence: list[DescentEvidence] = []
     violation_at: Optional[int] = None

@@ -19,7 +19,7 @@ from itertools import count
 from typing import Iterator, Optional, Union
 
 from .errors import CoefficientOutOfRange, DomainError, InvalidBase
-from .numerals import to_digits
+from .numerals import Digits, to_digits
 
 
 @dataclass(frozen=True)
@@ -51,16 +51,18 @@ def build_hereditary(value: int, base: int) -> HereditaryTree:
         raise DomainError(f"expected a natural number, got {value}")
     if value < base:
         return Leaf(value)
-    digits = to_digits(value, base)
+    return build_from_digits(to_digits(value, base), base)
+
+
+def build_from_digits(digits: Digits, base: int) -> HereditaryTree:
+    """``build_hereditary`` from canonical digits; only the exponents are converted."""
     top = len(digits) - 1
-    units = digits[-1]
-    tree: Optional[HereditaryTree] = Leaf(units) if units else None
+    tree: Optional[HereditaryTree] = Leaf(digits[-1]) if digits and digits[-1] else None
     for position in range(1, top + 1):
         coefficient = digits[top - position]
         if coefficient:
             tree = Node(coefficient, build_hereditary(position, base), tree)
-    assert isinstance(tree, Node)
-    return tree
+    return Leaf(0) if tree is None else tree
 
 
 def eval_tree(tree: Optional[HereditaryTree], base: int) -> int:

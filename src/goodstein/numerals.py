@@ -119,7 +119,7 @@ def render(digits: Sequence[int], base: int) -> RenderedNumeral:
     in parentheses, and a zero-valued (empty) sequence prints as ``0``.
     """
     _check_base(base)
-    body = "".join(str(d) if d < 10 else f"({d})" for d in digits) or "0"
+    body = "".join([str(d) if d < 10 else f"({d})" for d in digits]) or "0"
     return RenderedNumeral(text=f"{body}_{base}", base=base)
 
 

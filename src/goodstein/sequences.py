@@ -1,10 +1,12 @@
 """Sequence generators: fixed-base countdown, weak and strong Goodstein.
 
-All three families share one driver: emit the seed record, then apply the
-kind's step until the value hits zero or a cap fires. Weak and strong
-steps bump the base by one before subtracting; the strong step rewrites
-the value in hereditary notation first, which is why it explodes and needs
-a magnitude cap on top of the step cap.
+All three families share one driver: emit the seed record, then step
+from each record's digits until the value hits zero or a cap fires; only
+the seed converts a value to digits. Decreasing and weak runs share one
+transition, ``decrement_in_base(digits, next_base)``. The strong step
+rewrites the digits in hereditary notation first, which is why it explodes
+and needs a magnitude cap on top of the step cap. ``weak_step``,
+``decreasing_step`` and ``strong_step`` are the value-domain references.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from enum import Enum
 from typing import Generator, Optional
 
 from .errors import DomainError, InvalidBase, MagnitudeCapExceeded
-from .hereditary import HereditaryTree, Leaf, build_hereditary
-from .numerals import Digits, from_digits, render, to_digits
+from .hereditary import HereditaryTree, Leaf, build_from_digits, build_hereditary
+from .numerals import Digits, decrement_in_base, from_digits, render, to_digits
 
 DEFAULT_MAX_STEPS = 10**6
 DEFAULT_MAX_BITS = 10**6
@@ -121,8 +123,7 @@ def _eval_capped(tree: Optional[HereditaryTree], base: int, max_bits: int) -> in
     return total
 
 
-def _record(index: int, base: int, value: int) -> StepRecord:
-    digits = to_digits(value, base)
+def _record(index: int, base: int, value: int, digits: Digits) -> StepRecord:
     return StepRecord(index, base, value, digits, render(digits, base).text)
 
 
@@ -138,27 +139,27 @@ def run(kind: RunKind, cfg: RunConfig) -> Generator[StepRecord, None, RunOutcome
     runs keep ``start_base`` fixed. ``steps_emitted`` counts emitted
     records, seed included.
     """
-    record = _record(0, cfg.start_base, cfg.start_value)
-    yield record
-    emitted = 1
+    seed_digits = to_digits(cfg.start_value, cfg.start_base)
+    record = _record(0, cfg.start_base, cfg.start_value, seed_digits)
     while True:
+        yield record
+        emitted = record.index + 1
         if record.value == 0:
             return RunOutcome(RunStatus.TERMINATED_AT_ZERO, emitted, record)
         if emitted >= cfg.max_steps:
             return RunOutcome(RunStatus.STEP_CAP_REACHED, emitted, record)
-        if kind is RunKind.DECREASING:
-            value, base = decreasing_step(record.value), record.base
-        elif kind is RunKind.WEAK:
-            value, base = weak_step(record.value, record.base), record.base + 1
-        else:
+        base = record.base if kind is RunKind.DECREASING else record.base + 1
+        if kind is RunKind.STRONG:
+            tree = build_from_digits(record.digits, record.base)
             try:
-                value = strong_step(record.value, record.base, cfg.max_bits)
+                value = _eval_capped(tree, base, cfg.max_bits) - 1
             except MagnitudeCapExceeded:
                 return RunOutcome(RunStatus.MAGNITUDE_CAP_REACHED, emitted, record)
-            base = record.base + 1
-        record = _record(record.index + 1, base, value)
-        yield record
-        emitted += 1
+            digits = to_digits(value, base)
+        else:
+            digits = decrement_in_base(record.digits, base)
+            value = from_digits(digits, base)
+        record = _record(emitted, base, value, digits)
 
 
 def run_collected(kind: RunKind, cfg: RunConfig) -> tuple[list[StepRecord], RunOutcome]:

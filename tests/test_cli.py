@@ -236,6 +236,32 @@ def test_verify_flags_tampered_value(tmp_path, capsys):
     assert "step 50" in err
 
 
+def test_verify_rejects_invalid_seed(tmp_path, capsys):
+    path = tmp_path / "seed.jsonl"
+    path.write_text('{"index":0,"base":"2","value":"-1","digits":[],"rendered":"0_2"}\n')
+    code, _, err = run_cli(capsys, "verify", str(path))
+    assert code == 4
+    assert "step 0" in err
+
+
+@pytest.mark.parametrize(
+    "index, field, forged",
+    [
+        (1, "rendered", "999_3"),
+        (2, "digits", ["2", "2", "7"]),  # base 4 has no digit 7: StepMismatch, not exit 2
+    ],
+)
+def test_verify_flags_tampered_record(tmp_path, capsys, index, field, forged):
+    lines = jsonl_trace(capsys, 8, 5).strip().splitlines()
+    records = [json.loads(line) for line in lines if "index" in json.loads(line)]
+    records[index][field] = forged
+    path = tmp_path / "tampered.jsonl"
+    path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    code, _, err = run_cli(capsys, "verify", str(path))
+    assert code == 4
+    assert f"step {index}" in err
+
+
 def test_verify_empty_input(tmp_path, capsys):
     path = tmp_path / "empty.jsonl"
     path.write_text("")

@@ -59,6 +59,19 @@ def test_check_step_rejects_inconsistent_digits():
         check_step(prev, forged)
 
 
+@pytest.mark.parametrize(
+    "forged",
+    [
+        StepRecord(1, 3, 26, (2, 2, 5), "225_3"),  # digit out of range: StepMismatch, not exit 2
+        StepRecord(1, 3, 26, (2, 2, 2), "999_3"),
+    ],
+)
+def test_check_step_rejects_forged_successor(forged):
+    with pytest.raises(StepMismatch) as excinfo:
+        check_step(make_record(0, 2, 8), forged)
+    assert excinfo.value.index == 1
+
+
 def test_check_step_rejects_terminated_predecessor():
     with pytest.raises(StepMismatch):
         check_step(make_record(3, 5, 0), make_record(4, 6, 0))
@@ -91,6 +104,22 @@ def test_verify_run_single_record_is_vacuous():
     cert = verify_run(weak_records(9, 1))
     assert cert.all_steps_descend
     assert cert.evidence == ()
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        StepRecord(0, 2, -1, (), "0_2"),
+        StepRecord(0, 1, 0, (), "0_1"),
+        StepRecord(0, 2, 8, (1, 0, 0, 0), "8_2"),
+        StepRecord(0, 2, 8, (2, 0, 0), "200_2"),
+        StepRecord(0, 2, 8, (0, 1, 0, 0, 0), "01000_2"),
+    ],
+)
+def test_verify_run_checks_the_seed(seed):
+    with pytest.raises(StepMismatch) as excinfo:
+        verify_run([seed])
+    assert excinfo.value.index == 0
 
 
 def test_verify_run_empty_raises():

@@ -6,12 +6,14 @@ from goodstein.errors import CoefficientOutOfRange, DomainError, InvalidBase
 from goodstein.hereditary import (
     Leaf,
     Node,
+    build_from_digits,
     build_hereditary,
     eval_tree,
     iter_nodes,
     render_tree_dot,
     render_tree_text,
 )
+from goodstein.numerals import to_digits
 
 
 def test_build_25_base_2_structure():
@@ -32,6 +34,11 @@ def test_build_774840988_base_3_structure():
 def test_build_constant_is_leaf(base):
     assert build_hereditary(1, base) == Leaf(1)
     assert build_hereditary(0, base) == Leaf(0)
+
+
+@given(value=st.integers(0, 10**9), base=st.integers(2, 16))
+def test_build_from_digits_matches_build(value, base):
+    assert build_from_digits(to_digits(value, base), base) == build_hereditary(value, base)
 
 
 def test_build_rejects_bad_input():

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from goodstein.errors import DomainError, InvalidBase, MagnitudeCapExceeded
-from goodstein.numerals import to_digits
+from goodstein.numerals import render, to_digits
 from goodstein.sequences import (
     RunConfig,
     RunKind,
@@ -192,12 +192,28 @@ def test_strong_run_from_16_hits_magnitude_cap():
     assert outcome.final.value.bit_length() <= 2000
 
 
-def test_record_consistency_along_runs():
-    for kind, start in [(RunKind.WEAK, 8), (RunKind.STRONG, 4), (RunKind.DECREASING, 30)]:
-        records, _ = run_collected(kind, RunConfig(start, max_steps=40))
-        for record in records:
-            assert record.digits == to_digits(record.value, record.base)
-            assert record.rendered.endswith(f"_{record.base}")
+REFERENCE_STEPS = {
+    RunKind.DECREASING: lambda value, base, max_bits: (decreasing_step(value), base),
+    RunKind.WEAK: lambda value, base, max_bits: (weak_step(value, base), base + 1),
+    RunKind.STRONG: lambda value, base, max_bits: (strong_step(value, base, max_bits), base + 1),
+}
+
+
+@given(kind=st.sampled_from(list(RunKind)), start=st.integers(1, 60), base=st.integers(2, 20))
+def test_record_consistency_along_runs(kind, start, base):
+    cfg = RunConfig(start, base, max_steps=30, max_bits=4000)
+    records, outcome = run_collected(kind, cfg)
+    step = REFERENCE_STEPS[kind]
+    assert (records[0].index, records[0].base, records[0].value) == (0, base, start)
+    for prev, nxt in zip(records, records[1:]):
+        assert (nxt.value, nxt.base) == step(prev.value, prev.base, cfg.max_bits)
+        assert nxt.index == prev.index + 1
+    for record in records:
+        assert record.digits == to_digits(record.value, record.base)
+        assert record.rendered == render(record.digits, record.base).text
+    if outcome.status is RunStatus.MAGNITUDE_CAP_REACHED:
+        with pytest.raises(MagnitudeCapExceeded):
+            step(outcome.final.value, outcome.final.base, cfg.max_bits)
 
 
 def test_run_streams_lazily():
