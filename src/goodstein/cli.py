@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence, TextIO
 
@@ -120,6 +121,21 @@ def _emit_certificate(cert: DescentCertificate, fmt: str, out: TextIO) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    # Strong runs print values far past CPython's default int->str limit
+    # (4300 decimal digits, about 14k bits). Lift it while this command
+    # runs; ``verify`` parses untrusted input and keeps it.
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:
+        return _run(args)
+    previous = limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(args)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def _run(args: argparse.Namespace) -> int:
     if args.verify and args.kind != "weak":
         return _fail("--verify applies to weak runs only")
     if args.start < 1:
@@ -261,6 +277,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except GoodsteinError as exc:
         return _fail(str(exc))
+    except BrokenPipeError:
+        # The reader went away (``goodstein run ... | head``): a clean end.
+        # Point stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

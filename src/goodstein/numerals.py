@@ -18,6 +18,10 @@ from .errors import DigitOutOfRange, DomainError, InvalidBase, Underflow
 
 Digits = tuple[int, ...]
 
+# Radix conversion switches to the quadratic digit-at-a-time loop (and
+# Horner's rule) for blocks of at most this many digits.
+CUT = 64
+
 
 class Ordering(Enum):
     LESS = -1
@@ -37,6 +41,8 @@ def _check_base(base: int) -> None:
 
 
 def _check_digits(digits: Sequence[int], base: int) -> None:
+    if len(digits) > CUT and min(digits) >= 0 and max(digits) < base:
+        return
     for index, digit in enumerate(digits):
         if not 0 <= digit < base:
             raise DigitOutOfRange(index, digit, base)
@@ -46,27 +52,94 @@ def to_digits(value: int, base: int) -> Digits:
     """Positional base-``base`` digits of ``value``, most significant first.
 
     Zero maps to the empty tuple; otherwise the leading digit is nonzero
-    and every digit is smaller than the base.
+    and every digit is smaller than the base. Wide values are split by
+    divide and conquer (Brent & Zimmermann, *Modern Computer Arithmetic*,
+    2010, section 1.7): one ``divmod`` by ``base**(CUT * 2**k)`` per level,
+    down to blocks of at most ``CUT`` digits that the digit-at-a-time loop
+    finishes.
     """
     _check_base(base)
     if value < 0:
         raise DomainError(f"expected a natural number, got {value}")
+    # ladder[k] is base**(CUT * 2**k). Stop once value < ladder[-1]**2;
+    # when bit lengths already prove that, that square is never computed.
+    ladder: list[int] = []
+    power = base**CUT
+    while power <= value:
+        ladder.append(power)
+        if 2 * power.bit_length() - 2 >= value.bit_length():
+            break
+        power *= power
     out: list[int] = []
-    while value:
-        value, digit = divmod(value, base)
-        out.append(digit)
-    out.reverse()
+    _split_digits(value, base, ladder, len(ladder), False, out)
     return tuple(out)
 
 
+def _split_digits(
+    value: int, base: int, ladder: list[int], k: int, pad: bool, out: list[int]
+) -> None:
+    """Append the digits of ``value < base**(CUT * 2**k)`` to ``out``.
+
+    With ``pad`` the digits are zero-padded to exactly ``CUT * 2**k``;
+    without it they are canonical (no leading zeros).
+    """
+    if k == 0:
+        _leaf_digits(value, base, CUT if pad else 0, out)
+        return
+    high, low = divmod(value, ladder[k - 1])
+    if high or pad:
+        _split_digits(high, base, ladder, k - 1, pad, out)
+        _split_digits(low, base, ladder, k - 1, True, out)
+    else:
+        _split_digits(low, base, ladder, k - 1, False, out)
+
+
+def _leaf_digits(value: int, base: int, width: int, out: list[int]) -> None:
+    """Append the digits of ``value``, zero-padded on the left to ``width``."""
+    digits: list[int] = []
+    while value:
+        value, digit = divmod(value, base)
+        digits.append(digit)
+    digits.extend([0] * (width - len(digits)))
+    digits.reverse()
+    out.extend(digits)
+
+
 def from_digits(digits: Sequence[int], base: int) -> int:
-    """Horner evaluation of a digit sequence in the given base.
+    """Evaluate a digit sequence in the given base.
 
     Rejects digits outside ``[0, base)`` instead of silently evaluating
-    them; the empty sequence evaluates to 0.
+    them; the empty sequence evaluates to 0. Up to ``CUT`` digits this is
+    Horner's rule; longer sequences are cut into a high part and a low
+    block of ``CUT * 2**k`` digits, evaluated recursively and joined with
+    one multiply by ``base**(CUT * 2**k)`` per level.
     """
     _check_base(base)
     _check_digits(digits, base)
+    if len(digits) <= CUT:
+        return _horner(digits, base)
+    ladder = [base**CUT]
+    for _ in range(_block_level(len(digits))):
+        ladder.append(ladder[-1] * ladder[-1])
+    return _join_digits(digits, 0, len(digits), base, ladder)
+
+
+def _block_level(n: int) -> int:
+    """Largest ``k`` with ``CUT * 2**k < n``, for ``n > CUT``."""
+    return ((n - 1) // CUT).bit_length() - 1
+
+
+def _join_digits(digits: Sequence[int], start: int, stop: int, base: int, ladder: list[int]) -> int:
+    """Value of ``digits[start:stop]``."""
+    if stop - start <= CUT:
+        return _horner(digits[start:stop], base)
+    k = _block_level(stop - start)
+    mid = stop - (CUT << k)
+    high = _join_digits(digits, start, mid, base, ladder)
+    return high * ladder[k] + _join_digits(digits, mid, stop, base, ladder)
+
+
+def _horner(digits: Sequence[int], base: int) -> int:
     value = 0
     for digit in digits:
         value = value * base + digit

@@ -5,8 +5,11 @@ from each record's digits until the value hits zero or a cap fires; only
 the seed converts a value to digits. Decreasing and weak runs share one
 transition, ``decrement_in_base(digits, next_base)``. The strong step
 rewrites the digits in hereditary notation first, which is why it explodes
-and needs a magnitude cap on top of the step cap. ``weak_step``,
-``decreasing_step`` and ``strong_step`` are the value-domain references.
+and needs a magnitude cap on top of the step cap; it reads the next
+record's digits from that tree (each coefficient keeps its place at the
+top-level exponent evaluated in the new base) and applies the same borrow.
+``weak_step``, ``decreasing_step`` and ``strong_step`` are the
+value-domain references.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from enum import Enum
 from typing import Generator, Optional
 
 from .errors import DomainError, InvalidBase, MagnitudeCapExceeded
-from .hereditary import HereditaryTree, Leaf, build_from_digits, build_hereditary
+from .hereditary import HereditaryTree, Leaf, Node, build_from_digits, build_hereditary
 from .numerals import Digits, decrement_in_base, from_digits, render, to_digits
 
 DEFAULT_MAX_STEPS = 10**6
@@ -112,15 +115,48 @@ def _eval_capped(tree: Optional[HereditaryTree], base: int, max_bits: int) -> in
     while node is not None:
         if isinstance(node, Leaf):
             total += node.coefficient
-            break
-        exponent = _eval_capped(node.exponent, base, max_bits)
-        if exponent >= max_bits:
-            raise MagnitudeCapExceeded(exponent + 1)
-        total += node.coefficient * base**exponent
+            node = None
+        else:
+            exponent = _eval_capped(node.exponent, base, max_bits)
+            if exponent >= max_bits:
+                raise MagnitudeCapExceeded(exponent + 1)
+            total += node.coefficient * base**exponent
+            node = node.next
         if total.bit_length() > max_bits:
             raise MagnitudeCapExceeded(total.bit_length())
-        node = node.next
     return total
+
+
+def _strong_successor(digits: Digits, base: int, max_bits: int) -> tuple[Digits, int]:
+    """Digits in ``base + 1`` and value of the strong step from ``digits`` in ``base``.
+
+    Only the exponents of the top-level chain are evaluated at ``base + 1``;
+    they are the positions of the unchanged coefficients. Minus one is the
+    borrow ``c*B**e - 1 = (c-1)*B**e + sum((B-1)*B**i for i < e)``. Raises
+    MagnitudeCapExceeded exactly when the bumped value has more than
+    ``max_bits`` bits. Exponents are checked before any digit list is
+    built: ``_eval_capped`` refuses a nested one at or above ``max_bits``,
+    and a top exponent ``e`` with ``B**e >= 2**max_bits`` is refused here.
+    """
+    new_base = base + 1
+    terms: list[tuple[int, int]] = []
+    node: Optional[HereditaryTree] = build_from_digits(digits, base)
+    while isinstance(node, Node):
+        terms.append((node.coefficient, _eval_capped(node.exponent, new_base, max_bits)))
+        node = node.next
+    if node is not None:
+        terms.append((node.coefficient, 0))
+    top = terms[0][1]
+    if top * (new_base.bit_length() - 1) >= max_bits:
+        raise MagnitudeCapExceeded(top * (new_base.bit_length() - 1) + 1)
+    bumped = [0] * (top + 1)
+    for coefficient, exponent in terms:
+        bumped[top - exponent] = coefficient
+    successor = decrement_in_base(bumped, new_base)
+    value = from_digits(successor, new_base)
+    if (value + 1).bit_length() > max_bits:
+        raise MagnitudeCapExceeded((value + 1).bit_length())
+    return successor, value
 
 
 def _record(index: int, base: int, value: int, digits: Digits) -> StepRecord:
@@ -150,12 +186,10 @@ def run(kind: RunKind, cfg: RunConfig) -> Generator[StepRecord, None, RunOutcome
             return RunOutcome(RunStatus.STEP_CAP_REACHED, emitted, record)
         base = record.base if kind is RunKind.DECREASING else record.base + 1
         if kind is RunKind.STRONG:
-            tree = build_from_digits(record.digits, record.base)
             try:
-                value = _eval_capped(tree, base, cfg.max_bits) - 1
+                digits, value = _strong_successor(record.digits, record.base, cfg.max_bits)
             except MagnitudeCapExceeded:
                 return RunOutcome(RunStatus.MAGNITUDE_CAP_REACHED, emitted, record)
-            digits = to_digits(value, base)
         else:
             digits = decrement_in_base(record.digits, base)
             value = from_digits(digits, base)

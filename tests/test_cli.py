@@ -321,16 +321,56 @@ def test_jsonl_round_trip_is_byte_identical(capsys):
 
 # --- packaging ---------------------------------------------------------------------------
 
-def test_module_entry_point_runs():
-    repo_root = Path(__file__).resolve().parents[1]
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def cli_process_env():
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(repo_root / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("PYTHONINTMAXSTRDIGITS", None)  # keep CPython's default int<->str limit
+    return env
+
+
+def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "goodstein", "convert", "--to-digits", "25", "--base", "2"],
         capture_output=True,
         text=True,
-        env=env,
-        cwd=repo_root,
+        env=cli_process_env(),
+        cwd=REPO_ROOT,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1 1 0 0 1"
+
+
+@pytest.mark.parametrize("fmt", ["human", "jsonl", "csv"])
+def test_run_prints_values_past_the_int_str_limit(fmt):
+    # from 16 the values pass 4300 decimal digits (about 14k bits) at record 35
+    proc = subprocess.run(
+        [sys.executable, "-m", "goodstein", "run", "strong", "--start", "16",
+         "--max-bits", "60000", "--format", fmt],
+        capture_output=True,
+        text=True,
+        env=cli_process_env(),
+        cwd=REPO_ROOT,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    widest = max(len(line) for line in proc.stdout.splitlines())
+    assert widest > 4300
+    assert "MagnitudeCapReached" in proc.stdout.splitlines()[-1]
+
+
+def test_run_ends_cleanly_when_the_reader_closes_the_pipe():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "goodstein", "run", "weak", "--start", "8"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=cli_process_env(),
+        cwd=REPO_ROOT,
+    )
+    assert proc.stdout.readline() == b"0 base=2 value=8 1000_2\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert stderr == b""

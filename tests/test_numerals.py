@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from goodstein.errors import DigitOutOfRange, DomainError, InvalidBase, Underflow
 from goodstein.numerals import (
+    CUT,
     Ordering,
     decrement_in_base,
     from_digits,
@@ -21,6 +22,42 @@ def digits_by_divmod(value, base):
         value, r = divmod(value, base)
         out.append(r)
     return tuple(reversed(out))
+
+
+def value_by_horner(digits, base):
+    """Independent value oracle: Horner's rule over the whole sequence."""
+    value = 0
+    for digit in digits:
+        value = value * base + digit
+    return value
+
+
+# Small, CUT-sized, word-crossing and very large bases.
+BASES = st.sampled_from([2, 3, 10, 250, 2**64 + 13]) | st.integers(2, 1000)
+
+
+@st.composite
+def wide_values(draw, base):
+    """Values from 0 up to about 2e4 bits, with and without internal zero blocks.
+
+    ``base**k`` and its neighbours have long runs of zero (or of
+    ``base - 1``) digits, and a sum of two far-apart powers has a zero
+    block in its middle, so the divide-and-conquer split gets low halves
+    that need zero padding.
+    """
+    max_k = max(1, 20_000 // base.bit_length())
+    k = draw(st.integers(0, max_k))
+    shape = draw(st.sampled_from(["bits", "power", "two_powers", "zero"]))
+    if shape == "zero":
+        return 0
+    if shape == "bits":
+        bits = draw(st.sampled_from([CUT - 1, CUT, CUT + 1]) | st.integers(1, 20_000))
+        return draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+    delta = draw(st.integers(-1, 1))
+    if shape == "power":
+        return base**k + delta
+    j = draw(st.integers(0, k))
+    return draw(st.integers(1, base - 1)) * base**k + base**j + delta
 
 
 # --- to_digits ---------------------------------------------------------------
@@ -93,6 +130,42 @@ def test_round_trip_hypothesis(value, base):
     digits = to_digits(value, base)
     assert digits == digits_by_divmod(value, base)
     assert from_digits(digits, base) == value
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), base=BASES)
+def test_to_digits_matches_divmod_loop(data, base):
+    value = data.draw(wide_values(base))
+    assert to_digits(value, base) == digits_by_divmod(value, base)
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), base=BASES, leading_zeros=st.integers(0, 3))
+def test_from_digits_matches_horner(data, base, leading_zeros):
+    digits = (0,) * leading_zeros + digits_by_divmod(data.draw(wide_values(base)), base)
+    assert from_digits(digits, base) == value_by_horner(digits, base)
+
+
+@given(
+    base=st.integers(2, 40),
+    blocks=st.lists(
+        st.tuples(st.integers(0, 39), st.integers(0, 3 * CUT)), min_size=1, max_size=8
+    ),
+)
+def test_from_digits_matches_horner_on_digit_runs(base, blocks):
+    # runs of one repeated digit put zero blocks (and base-1 blocks) on
+    # both sides of every split point
+    digits = tuple(d % base for d, length in blocks for _ in range(length))
+    assert from_digits(digits, base) == value_by_horner(digits, base)
+
+
+def test_radix_conversion_at_block_boundaries():
+    for base in (2, 3, 10, 250, 2**64 + 13):
+        for k in (CUT - 1, CUT, CUT + 1, 2 * CUT, 2 * CUT + 1, 4 * CUT - 1, 4 * CUT):
+            for value in (base**k - 1, base**k, base**k + 1, base ** (2 * k) + base**k):
+                digits = to_digits(value, base)
+                assert digits == digits_by_divmod(value, base)
+                assert from_digits(digits, base) == value
 
 
 # --- decrement_in_base ---------------------------------------------------------

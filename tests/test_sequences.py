@@ -1,7 +1,7 @@
 from itertools import islice
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goodstein.errors import DomainError, InvalidBase, MagnitudeCapExceeded
@@ -86,6 +86,13 @@ def test_strong_step_magnitude_cap():
     with pytest.raises(MagnitudeCapExceeded) as excinfo:
         strong_step(16, 2, max_bits=10)
     assert excinfo.value.bit_length > 10
+
+
+def test_strong_step_magnitude_cap_counts_the_units_digit():
+    # 126 = 2*55 + 16 bumps to 2*56 + 16 = 128, which needs 8 bits
+    with pytest.raises(MagnitudeCapExceeded):
+        strong_step(126, 55, max_bits=7)
+    assert strong_step(126, 55, max_bits=8) == 127
 
 
 def test_decreasing_step():
@@ -214,6 +221,47 @@ def test_record_consistency_along_runs(kind, start, base):
     if outcome.status is RunStatus.MAGNITUDE_CAP_REACHED:
         with pytest.raises(MagnitudeCapExceeded):
             step(outcome.final.value, outcome.final.base, cfg.max_bits)
+
+
+@settings(deadline=None)
+@given(value=st.integers(1, 10**6 - 1), base=st.integers(2, 20))
+def test_tree_domain_strong_step_matches_strong_step(value, base):
+    # run steps from the record's digits through the hereditary tree;
+    # strong_step goes through the value
+    max_bits = 10**4
+    records, outcome = run_collected(RunKind.STRONG, RunConfig(value, base, 2, max_bits))
+    try:
+        expected = strong_step(value, base, max_bits)
+    except MagnitudeCapExceeded:
+        assert outcome.status is RunStatus.MAGNITUDE_CAP_REACHED
+        assert records == [outcome.final]
+        return
+    assert [(r.index, r.base, r.value) for r in records] == [
+        (0, base, value),
+        (1, base + 1, expected),
+    ]
+    assert records[1].digits == to_digits(expected, base + 1)
+
+
+@given(start=st.integers(1, 300), base=st.integers(2, 8), max_bits=st.integers(1, 200))
+def test_magnitude_cap_fires_where_strong_step_refuses(start, base, max_bits):
+    max_steps = 60
+    records, outcome = run_collected(RunKind.STRONG, RunConfig(start, base, max_steps, max_bits))
+    values = [start]
+    while True:
+        if values[-1] == 0:
+            status = RunStatus.TERMINATED_AT_ZERO
+            break
+        if len(values) == max_steps:
+            status = RunStatus.STEP_CAP_REACHED
+            break
+        try:
+            values.append(strong_step(values[-1], base + len(values) - 1, max_bits))
+        except MagnitudeCapExceeded:
+            status = RunStatus.MAGNITUDE_CAP_REACHED
+            break
+    assert [r.value for r in records] == values
+    assert outcome.status is status
 
 
 def test_run_streams_lazily():
