@@ -4,10 +4,10 @@ Subcommands: ``convert`` (digits <-> value), ``hereditary`` (linear or DOT
 rendering), ``run`` (stream a sequence), ``verify`` (recheck a JSONL weak
 trace and emit a descent certificate).
 
-Exit codes: 0 success, 2 bad arguments or malformed input, 3 run stopped
-by a cap, 4 descent violation or trace mismatch. Values are serialized as
-decimal strings everywhere (they outgrow fixed-width integers quickly);
-JSON numbers are used only for record indices.
+Exit codes, all set in ``main``: 0 success, 2 bad arguments, malformed or
+unreadable input, or an I/O error, 3 run stopped by a cap, 4 descent
+violation or trace mismatch. Values travel as decimal strings; JSON
+numbers are used only for record indices.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence, TextIO
+from typing import Iterator, Optional, Sequence, TextIO
 
 from .descent import DescentCertificate, verify_run
 from .errors import EmptyRun, GoodsteinError, StepMismatch
@@ -34,11 +34,6 @@ from .sequences import (
 )
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def _parse_digit_tokens(text: str) -> tuple[int, ...]:
     digits = []
     for token in text.split():
@@ -50,26 +45,18 @@ def _parse_digit_tokens(text: str) -> tuple[int, ...]:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    try:
-        if args.to_digits is not None:
-            digits = to_digits(args.to_digits, args.base)
-            print(" ".join(str(d) for d in digits) if digits else "0")
-        else:
-            print(from_digits(_parse_digit_tokens(args.to_value), args.base))
-    except GoodsteinError as exc:
-        return _fail(str(exc))
+    if args.to_digits is not None:
+        digits = to_digits(args.to_digits, args.base)
+        print(" ".join(str(d) for d in digits) if digits else "0")
+    else:
+        print(from_digits(_parse_digit_tokens(args.to_value), args.base))
     return 0
 
 
 def cmd_hereditary(args: argparse.Namespace) -> int:
-    try:
-        tree = build_hereditary(args.value, args.base)
-    except GoodsteinError as exc:
-        return _fail(str(exc))
-    if args.render == "dot":
-        print(render_tree_dot(tree, args.base))
-    else:
-        print(render_tree_text(tree, args.base))
+    tree = build_hereditary(args.value, args.base)
+    render = render_tree_dot if args.render == "dot" else render_tree_text
+    print(render(tree, args.base))
     return 0
 
 
@@ -87,14 +74,12 @@ def _record_json(record: StepRecord) -> str:
 
 def _emit_record(record: StepRecord, fmt: str, out: TextIO) -> None:
     if fmt == "jsonl":
-        print(_record_json(record), file=out)
+        line = _record_json(record)
     elif fmt == "csv":
-        print(f"{record.index},{record.base},{record.value},{record.rendered}", file=out)
+        line = f"{record.index},{record.base},{record.value},{record.rendered}"
     else:
-        print(
-            f"{record.index} base={record.base} value={record.value} {record.rendered}",
-            file=out,
-        )
+        line = f"{record.index} base={record.base} value={record.value} {record.rendered}"
+    print(line, file=out)
 
 
 def _emit_summary(outcome: RunOutcome, fmt: str, out: TextIO) -> None:
@@ -114,9 +99,7 @@ def _emit_certificate(cert: DescentCertificate, fmt: str, out: TextIO) -> None:
     if fmt == "jsonl":
         print(_certificate_json(cert), file=out)
         return
-    verdict = (
-        "AllStepsDescend" if cert.all_steps_descend else f"ViolationAt({cert.violation_at})"
-    )
+    verdict = "AllStepsDescend" if cert.all_steps_descend else f"ViolationAt({cert.violation_at})"
     print(f"# verdict={verdict} steps_checked={len(cert.evidence)} k={cert.k}", file=out)
 
 
@@ -137,13 +120,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     if args.verify and args.kind != "weak":
-        return _fail("--verify applies to weak runs only")
+        raise GoodsteinError("--verify applies to weak runs only")
     if args.start < 1:
-        return _fail(f"--start must be >= 1, got {args.start}")
-    try:
-        cfg = RunConfig(args.start, args.base, args.max_steps, args.max_bits)
-    except GoodsteinError as exc:
-        return _fail(str(exc))
+        raise GoodsteinError(f"--start must be >= 1, got {args.start}")
+    cfg = RunConfig(args.start, args.base, args.max_steps, args.max_bits)
 
     if args.format == "csv":
         print("index,base,value,rendered")
@@ -171,51 +151,52 @@ def _run(args: argparse.Namespace) -> int:
     return 0 if outcome.status is RunStatus.TERMINATED_AT_ZERO else 3
 
 
+def _decimal(field: object) -> int:
+    # ``-?[0-9]+`` only: int() would also take "2_6", " 26" and non-ASCII digits
+    if isinstance(field, str) and field.isascii() and field.removeprefix("-").isdigit():
+        return int(field)
+    raise ValueError(f"expected a decimal string, got {field!r}")
+
+
 def _record_from_json(obj: dict) -> StepRecord:
+    index, digits, rendered = obj["index"], obj["digits"], obj["rendered"]
+    if type(index) is not int or not isinstance(digits, list) or not isinstance(rendered, str):
+        raise ValueError("index must be an integer, digits a list, rendered a string")
     return StepRecord(
-        index=int(obj["index"]),
-        base=int(obj["base"]),
-        value=int(obj["value"]),
-        digits=tuple(map(int, obj["digits"])),
-        rendered=str(obj["rendered"]),
+        index=index,
+        base=_decimal(obj["base"]),
+        value=_decimal(obj["value"]),
+        digits=tuple(map(_decimal, digits)),
+        rendered=rendered,
     )
 
 
-def _read_trace(handle: TextIO) -> list[StepRecord]:
-    records = []
+def _read_trace(handle: TextIO) -> Iterator[StepRecord]:
+    """Yield the records of a JSONL trace one line at a time."""
     for lineno, line in enumerate(handle, 1):
         line = line.strip()
         if not line:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             raise GoodsteinError(f"line {lineno}: not valid JSON") from None
         if not isinstance(obj, dict) or "index" not in obj:
             continue  # run summaries and certificates travel in the same stream
         try:
-            records.append(_record_from_json(obj))
-        except (KeyError, TypeError, ValueError) as exc:
+            record = _record_from_json(obj)
+        except (KeyError, ValueError) as exc:
             raise GoodsteinError(f"line {lineno}: bad record ({exc})") from None
-    return records
+        yield record
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        if args.path == "-":
-            records = _read_trace(sys.stdin)
-        else:
-            with open(args.path, encoding="utf-8") as handle:
-                records = _read_trace(handle)
-    except (OSError, GoodsteinError) as exc:
-        return _fail(str(exc))
-    try:
-        cert = verify_run(records)
-    except EmptyRun as exc:
-        return _fail(f"EmptyRun: {exc}")
-    except StepMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    # Each record is checked as it is read: the first problem in file order decides.
+    if args.path == "-":
+        cert = verify_run(_read_trace(sys.stdin))
+    else:
+        with open(args.path, encoding="utf-8") as handle:
+            cert = verify_run(_read_trace(handle))
     print(_certificate_json(cert))
     return 0 if cert.all_steps_descend else 4
 
@@ -267,6 +248,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _settle_stdout() -> None:
+    # A failed flush keeps its data buffered, so the flush at exit would fail
+    # and report again: point stdout at devnull instead.
+    try:
+        print(end="", flush=True)
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -274,14 +264,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
-    except GoodsteinError as exc:
-        return _fail(str(exc))
+        code = args.func(args)
+        print(end="", flush=True)  # a stdout write error surfaces here, not at exit
+        return code
+    except StepMismatch as exc:
+        code, message = 4, str(exc)
+    except EmptyRun as exc:
+        code, message = 2, f"EmptyRun: {exc}"
     except BrokenPipeError:
         # The reader went away (``goodstein run ... | head``): a clean end.
-        # Point stdout at devnull so the flush at exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _settle_stdout()
         return 0
+    except (GoodsteinError, OSError, UnicodeDecodeError) as exc:
+        code, message = 2, str(exc)
+    _settle_stdout()
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -4,10 +4,10 @@ All three families share one driver: emit the seed record, then step
 from each record's digits until the value hits zero or a cap fires; only
 the seed converts a value to digits. Decreasing and weak runs share one
 transition, ``decrement_in_base(digits, next_base)``. The strong step
-rewrites the digits in hereditary notation first, which is why it explodes
-and needs a magnitude cap on top of the step cap; it reads the next
-record's digits from that tree (each coefficient keeps its place at the
-top-level exponent evaluated in the new base) and applies the same borrow.
+rewrites the digit positions in hereditary notation first, which is why it
+explodes and needs a magnitude cap on top of the step cap: each coefficient
+moves to its position's hereditary form evaluated in the new base, then the
+same borrow applies.
 ``weak_step``, ``decreasing_step`` and ``strong_step`` are the
 value-domain references.
 """
@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Generator, Optional
 
 from .errors import DomainError, InvalidBase, MagnitudeCapExceeded
-from .hereditary import HereditaryTree, Leaf, Node, build_from_digits, build_hereditary
+from .hereditary import HereditaryTree, Leaf, build_hereditary
 from .numerals import Digits, decrement_in_base, from_digits, render, to_digits
 
 DEFAULT_MAX_STEPS = 10**6
@@ -130,28 +130,26 @@ def _eval_capped(tree: Optional[HereditaryTree], base: int, max_bits: int) -> in
 def _strong_successor(digits: Digits, base: int, max_bits: int) -> tuple[Digits, int]:
     """Digits in ``base + 1`` and value of the strong step from ``digits`` in ``base``.
 
-    Only the exponents of the top-level chain are evaluated at ``base + 1``;
-    they are the positions of the unchanged coefficients. Minus one is the
-    borrow ``c*B**e - 1 = (c-1)*B**e + sum((B-1)*B**i for i < e)``. Raises
+    Each coefficient keeps its place: position ``p`` moves to ``p``'s
+    hereditary form evaluated at ``base + 1``. Minus one is the borrow
+    ``c*B**e - 1 = (c-1)*B**e + sum((B-1)*B**i for i < e)``. Raises
     MagnitudeCapExceeded exactly when the bumped value has more than
-    ``max_bits`` bits. Exponents are checked before any digit list is
-    built: ``_eval_capped`` refuses a nested one at or above ``max_bits``,
-    and a top exponent ``e`` with ``B**e >= 2**max_bits`` is refused here.
+    ``max_bits`` bits. Positions are checked before any digit list is
+    built: ``_eval_capped`` refuses a nested exponent at or above
+    ``max_bits``, and a top position ``e`` with ``B**e >= 2**max_bits`` is
+    refused here.
     """
     new_base = base + 1
-    terms: list[tuple[int, int]] = []
-    node: Optional[HereditaryTree] = build_from_digits(digits, base)
-    while isinstance(node, Node):
-        terms.append((node.coefficient, _eval_capped(node.exponent, new_base, max_bits)))
-        node = node.next
-    if node is not None:
-        terms.append((node.coefficient, 0))
-    top = terms[0][1]
-    if top * (new_base.bit_length() - 1) >= max_bits:
-        raise MagnitudeCapExceeded(top * (new_base.bit_length() - 1) + 1)
-    bumped = [0] * (top + 1)
-    for coefficient, exponent in terms:
-        bumped[top - exponent] = coefficient
+    top = len(digits) - 1
+    new_top = _eval_capped(build_hereditary(top, base), new_base, max_bits)
+    if new_top * (new_base.bit_length() - 1) >= max_bits:
+        raise MagnitudeCapExceeded(new_top * (new_base.bit_length() - 1) + 1)
+    bumped = [0] * (new_top + 1)
+    bumped[0] = digits[0]
+    for position in range(top):
+        if digits[top - position]:
+            moved = _eval_capped(build_hereditary(position, base), new_base, max_bits)
+            bumped[new_top - moved] = digits[top - position]
     successor = decrement_in_base(bumped, new_base)
     value = from_digits(successor, new_base)
     if (value + 1).bit_length() > max_bits:

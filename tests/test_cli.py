@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from goodstein.cli import _record_from_json, _record_json, main
+from goodstein.cli import _read_trace, _record_from_json, _record_json, main
 
 
 def run_cli(capsys, *argv):
@@ -283,6 +283,75 @@ def test_verify_missing_file(capsys):
     assert code == 2
 
 
+def write_records(path, records):
+    path.write_text("\n".join(r if isinstance(r, str) else json.dumps(r) for r in records) + "\n")
+
+
+@pytest.mark.parametrize(
+    "index, field, forged",
+    [
+        (1, "index", True),  # a bool, which int() reads as 1
+        (2, "index", 2.7),  # a float, which int() truncates to 2
+        (1, "digits", "222"),  # a string, which map(int, ...) iterates by character
+        (1, "value", "2_6"),  # int() accepts the underscore and reads 26
+        (1, "value", "\u0662\u0666"),  # Arabic-Indic digits, which int() reads as 26
+    ],
+)
+def test_verify_rejects_off_schema_record(tmp_path, capsys, index, field, forged):
+    lines = jsonl_trace(capsys, 8, 5).strip().splitlines()
+    records = [json.loads(line) for line in lines if "index" in json.loads(line)]
+    records[index][field] = forged
+    path = tmp_path / "forged.jsonl"
+    write_records(path, records)
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"line {index + 1}: bad record" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000 + "]" * 100_000,  # json.loads raises RecursionError
+        '{"index": ' + "1" * 5000 + "}",  # past CPython's int parse limit: ValueError
+    ],
+    ids=["deep-array", "huge-integer"],
+)
+def test_verify_reports_unparseable_line(tmp_path, capsys, text):
+    path = tmp_path / "hostile.jsonl"
+    path.write_text(text + "\n")
+    code, _, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert err.startswith("error: line 1: ")
+
+
+@pytest.mark.parametrize(
+    "garbage_line, forged_index, expected_code, expected_err",
+    [
+        (4, 1, 4, "step 1"),  # the forged record comes first in the file
+        (2, 3, 2, "line 2"),  # the garbage line comes first
+    ],
+)
+def test_verify_first_problem_in_file_order_decides(
+    tmp_path, capsys, garbage_line, forged_index, expected_code, expected_err
+):
+    lines = jsonl_trace(capsys, 8, 5).strip().splitlines()
+    records = [json.loads(line) for line in lines if "index" in json.loads(line)]
+    records[forged_index]["value"] = str(int(records[forged_index]["value"]) + 1)
+    records[garbage_line - 1] = "garbage"
+    path = tmp_path / "mixed.jsonl"
+    write_records(path, records)
+    code, _, err = run_cli(capsys, "verify", str(path))
+    assert code == expected_code
+    assert expected_err in err
+
+
+def test_read_trace_is_lazy(capsys):
+    good_line = jsonl_trace(capsys, 8, 1).splitlines()[0] + "\n"
+    record = next(_read_trace(io.StringIO(good_line + "garbage\n")))
+    assert record == _record_from_json(json.loads(good_line))
+
+
 def test_formats_carry_the_same_record_data(capsys):
     args = ("run", "weak", "--start", "8", "--max-steps", "6")
     _, human, _ = run_cli(capsys, *args)
@@ -359,6 +428,45 @@ def test_run_prints_values_past_the_int_str_limit(fmt):
     widest = max(len(line) for line in proc.stdout.splitlines())
     assert widest > 4300
     assert "MagnitudeCapReached" in proc.stdout.splitlines()[-1]
+
+
+def test_verify_reports_undecodable_trace(tmp_path):
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(b"\xff\xfe not utf-8\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "goodstein", "verify", str(path)],
+        capture_output=True,
+        text=True,
+        env=cli_process_env(),
+        cwd=REPO_ROOT,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("steps", ["5", "5000"])  # fits in the stdout buffer, and does not
+def test_run_reports_a_failed_write_once(steps, buffered):
+    env = cli_process_env()
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    else:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "goodstein", "run", "weak", "--start", "8",
+             "--max-steps", steps],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            cwd=REPO_ROOT,
+        )
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
 
 
 def test_run_ends_cleanly_when_the_reader_closes_the_pipe():
