@@ -13,9 +13,11 @@ numbers are used only for record indices.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Iterator, Optional, Sequence, TextIO
 
 from .descent import DescentCertificate, verify_run
@@ -44,12 +46,33 @@ def _parse_digit_tokens(text: str) -> tuple[int, ...]:
     return tuple(digits)
 
 
+@contextlib.contextmanager
+def _no_int_str_limit() -> Iterator[None]:
+    """Lift CPython's int<->str digit limit inside the block, then restore it.
+
+    The limit (4300 decimal digits, about 14k bits) guards parsing of
+    untrusted input; ``verify`` keeps it. ``run`` and ``convert`` print
+    values far past it.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:
+        yield
+        return
+    previous = limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def cmd_convert(args: argparse.Namespace) -> int:
-    if args.to_digits is not None:
-        digits = to_digits(args.to_digits, args.base)
-        print(" ".join(str(d) for d in digits) if digits else "0")
-    else:
-        print(from_digits(_parse_digit_tokens(args.to_value), args.base))
+    with _no_int_str_limit():
+        if args.to_digits is not None:
+            digits = to_digits(args.to_digits, args.base)
+            print(" ".join(str(d) for d in digits) if digits else "0")
+        else:
+            print(from_digits(_parse_digit_tokens(args.to_value), args.base))
     return 0
 
 
@@ -61,14 +84,12 @@ def cmd_hereditary(args: argparse.Namespace) -> int:
 
 
 def _record_json(record: StepRecord) -> str:
-    return json.dumps(
-        {
-            "index": record.index,
-            "base": str(record.base),
-            "value": str(record.value),
-            "digits": [str(d) for d in record.digits],
-            "rendered": record.rendered,
-        }
+    # The bytes of json.dumps on the record's dict, without building the dict.
+    # Every field but ``rendered`` is decimal text, which needs no escaping.
+    digits = ('["' + '", "'.join(map(str, record.digits)) + '"]') if record.digits else "[]"
+    return (
+        f'{{"index": {record.index}, "base": "{record.base}", "value": "{record.value}", '
+        f'"digits": {digits}, "rendered": {encode_basestring_ascii(record.rendered)}}}'
     )
 
 
@@ -79,7 +100,7 @@ def _emit_record(record: StepRecord, fmt: str, out: TextIO) -> None:
         line = f"{record.index},{record.base},{record.value},{record.rendered}"
     else:
         line = f"{record.index} base={record.base} value={record.value} {record.rendered}"
-    print(line, file=out)
+    out.write(line + "\n")
 
 
 def _emit_summary(outcome: RunOutcome, fmt: str, out: TextIO) -> None:
@@ -104,18 +125,8 @@ def _emit_certificate(cert: DescentCertificate, fmt: str, out: TextIO) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    # Strong runs print values far past CPython's default int->str limit
-    # (4300 decimal digits, about 14k bits). Lift it while this command
-    # runs; ``verify`` parses untrusted input and keeps it.
-    limit = getattr(sys, "get_int_max_str_digits", None)
-    if limit is None:
+    with _no_int_str_limit():
         return _run(args)
-    previous = limit()
-    sys.set_int_max_str_digits(0)
-    try:
-        return _run(args)
-    finally:
-        sys.set_int_max_str_digits(previous)
 
 
 def _run(args: argparse.Namespace) -> int:

@@ -6,6 +6,10 @@ digit first; zero is the empty tuple. The sequence itself carries no base:
 base 3. Every operation that needs a base takes it as an explicit
 argument, and digits are full bignums because the bases a weak Goodstein
 run walks through grow without bound.
+
+The public functions check their input. ``_borrow``, ``_evaluate`` and
+``_render_text`` are the same work without the checks, for callers whose
+digits are in range by construction, such as the borrow's own output.
 """
 
 from __future__ import annotations
@@ -116,6 +120,11 @@ def from_digits(digits: Sequence[int], base: int) -> int:
     """
     _check_base(base)
     _check_digits(digits, base)
+    return _evaluate(digits, base)
+
+
+def _evaluate(digits: Sequence[int], base: int) -> int:
+    """``from_digits`` without its checks, for digits known to be in range."""
     if len(digits) <= CUT:
         return _horner(digits, base)
     ladder = [base**CUT]
@@ -158,6 +167,15 @@ def decrement_in_base(digits: Sequence[int], base: int) -> Digits:
     _check_digits(digits, base)
     if not any(digits):
         raise Underflow("cannot decrement a zero-valued digit sequence")
+    return _borrow(digits, base)
+
+
+def _borrow(digits: Sequence[int], base: int) -> Digits:
+    """``decrement_in_base`` without its checks, for in-range digits of a nonzero value.
+
+    The result is canonical and in range whenever the input is, so a run
+    can feed it back in without checking it again.
+    """
     out = list(digits)
     i = len(out) - 1
     while out[i] == 0:
@@ -192,8 +210,13 @@ def render(digits: Sequence[int], base: int) -> RenderedNumeral:
     in parentheses, and a zero-valued (empty) sequence prints as ``0``.
     """
     _check_base(base)
+    return RenderedNumeral(text=_render_text(digits, base), base=base)
+
+
+def _render_text(digits: Sequence[int], base: int) -> str:
+    """The text of ``render(digits, base)``, without checking the base."""
     body = "".join([str(d) if d < 10 else f"({d})" for d in digits]) or "0"
-    return RenderedNumeral(text=f"{body}_{base}", base=base)
+    return f"{body}_{base}"
 
 
 def power_predecessor(x: int, n: int) -> int:

@@ -7,7 +7,10 @@ transition, ``decrement_in_base(digits, next_base)``. The strong step
 rewrites the digit positions in hereditary notation first, which is why it
 explodes and needs a magnitude cap on top of the step cap: each coefficient
 moves to its position's hereditary form evaluated in the new base, then the
-same borrow applies.
+same borrow applies. Each record's digits come out of that borrow (or, for
+the seed, out of ``to_digits``) canonical and in range, so the loop calls
+the unchecked kernels behind ``decrement_in_base``, ``from_digits`` and
+``render`` and checks nothing twice.
 ``weak_step``, ``decreasing_step`` and ``strong_step`` are the
 value-domain references.
 """
@@ -20,7 +23,7 @@ from typing import Generator, Optional
 
 from .errors import DomainError, InvalidBase, MagnitudeCapExceeded
 from .hereditary import HereditaryTree, Leaf, build_hereditary
-from .numerals import Digits, decrement_in_base, from_digits, render, to_digits
+from .numerals import Digits, _borrow, _evaluate, _render_text, from_digits, to_digits
 
 DEFAULT_MAX_STEPS = 10**6
 DEFAULT_MAX_BITS = 10**6
@@ -150,15 +153,15 @@ def _strong_successor(digits: Digits, base: int, max_bits: int) -> tuple[Digits,
         if digits[top - position]:
             moved = _eval_capped(build_hereditary(position, base), new_base, max_bits)
             bumped[new_top - moved] = digits[top - position]
-    successor = decrement_in_base(bumped, new_base)
-    value = from_digits(successor, new_base)
+    successor = _borrow(bumped, new_base)
+    value = _evaluate(successor, new_base)
     if (value + 1).bit_length() > max_bits:
         raise MagnitudeCapExceeded((value + 1).bit_length())
     return successor, value
 
 
 def _record(index: int, base: int, value: int, digits: Digits) -> StepRecord:
-    return StepRecord(index, base, value, digits, render(digits, base).text)
+    return StepRecord(index, base, value, digits, _render_text(digits, base))
 
 
 def run(kind: RunKind, cfg: RunConfig) -> Generator[StepRecord, None, RunOutcome]:
@@ -189,8 +192,8 @@ def run(kind: RunKind, cfg: RunConfig) -> Generator[StepRecord, None, RunOutcome
             except MagnitudeCapExceeded:
                 return RunOutcome(RunStatus.MAGNITUDE_CAP_REACHED, emitted, record)
         else:
-            digits = decrement_in_base(record.digits, base)
-            value = from_digits(digits, base)
+            digits = _borrow(record.digits, base)
+            value = _evaluate(digits, base)
         record = _record(emitted, base, value, digits)
 
 

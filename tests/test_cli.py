@@ -6,8 +6,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from goodstein.cli import _read_trace, _record_from_json, _record_json, main
+from goodstein.cli import _no_int_str_limit, _read_trace, _record_from_json, _record_json, main
+from goodstein.sequences import StepRecord
 
 
 def run_cli(capsys, *argv):
@@ -388,6 +391,36 @@ def test_jsonl_round_trip_is_byte_identical(capsys):
         assert _record_json(_record_from_json(obj)) == line
 
 
+@settings(deadline=None, max_examples=200)
+@given(
+    index=st.integers(0, 10**9),
+    base=st.integers(2, 10**30),
+    value=st.one_of(st.integers(0, 10**12), st.integers(10**4300, 10**4400)),
+    digits=st.lists(st.one_of(st.integers(0, 9), st.integers(10, 10**30)), max_size=12),
+    rendered=st.text(),
+)
+@example(index=0, base=2, value=0, digits=[], rendered="0_2")  # the zero record
+@example(index=7, base=11, value=10, digits=[10], rendered="(10)_11")
+@example(index=2, base=10, value=10**4400, digits=[1, 0], rendered="10_10")
+@example(index=1, base=3, value=26, digits=[2, 2, 2], rendered='"quoted" back\\slash')
+@example(index=1, base=3, value=26, digits=[2, 2, 2], rendered="\x00\t\n\x1f\x7f")
+@example(index=1, base=3, value=26, digits=[2, 2, 2], rendered="é 漢 😀 \u2028 \ud800")
+def test_record_json_matches_json_dumps(index, base, value, digits, rendered):
+    record = StepRecord(index, base, value, tuple(digits), rendered)
+    # values past 4300 decimal digits print only with CPython's int->str limit lifted
+    with _no_int_str_limit():
+        expected = json.dumps(
+            {
+                "index": index,
+                "base": str(base),
+                "value": str(value),
+                "digits": [str(d) for d in digits],
+                "rendered": rendered,
+            }
+        )
+        assert _record_json(record) == expected
+
+
 # --- packaging ---------------------------------------------------------------------------
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -428,6 +461,20 @@ def test_run_prints_values_past_the_int_str_limit(fmt):
     widest = max(len(line) for line in proc.stdout.splitlines())
     assert widest > 4300
     assert "MagnitudeCapReached" in proc.stdout.splitlines()[-1]
+
+
+def test_convert_prints_values_past_the_int_str_limit():
+    proc = subprocess.run(
+        [sys.executable, "-m", "goodstein", "convert",
+         "--to-value", " ".join(["1"] + ["0"] * 5000), "--base", "10"],
+        capture_output=True,
+        text=True,
+        env=cli_process_env(),
+        cwd=REPO_ROOT,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "1" + "0" * 5000 + "\n"
+    assert proc.stderr == ""
 
 
 def test_verify_reports_undecodable_trace(tmp_path):

@@ -1,12 +1,20 @@
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goodstein.descent import check_step, rank, verify_run
-from goodstein.errors import ArityExceeded, EmptyRun, StepMismatch
-from goodstein.numerals import Ordering, lex_compare, render, to_digits
+from goodstein.descent import DescentEvidence, _pivot, check_step, rank, verify_run
+from goodstein.errors import ArityExceeded, DomainError, EmptyRun, StepMismatch
+from goodstein.numerals import (
+    CUT,
+    Ordering,
+    decrement_in_base,
+    from_digits,
+    lex_compare,
+    render,
+    to_digits,
+)
 from goodstein.sequences import RunConfig, RunKind, StepRecord, run, run_collected, weak_step
 
 
@@ -80,6 +88,97 @@ def test_check_step_rejects_terminated_predecessor():
 def test_check_step_rejects_index_gap():
     with pytest.raises(StepMismatch):
         check_step(make_record(0, 2, 8), make_record(2, 3, 26))
+
+
+# --- check_step against the full check of every field -------------------------------
+
+def reference_check_step(prev, nxt):
+    """check_step without its fast path: the record check, then the four transition checks."""
+    digits, base = nxt.digits, nxt.base
+    try:
+        canonical = from_digits(digits, base) == nxt.value and (not digits or digits[0] > 0)
+    except DomainError:
+        canonical = False
+    if not canonical:
+        raise StepMismatch(
+            nxt.index, f"digits {list(digits)} do not spell value {nxt.value} in base {base}"
+        )
+    if nxt.rendered != render(digits, base).text:
+        raise StepMismatch(nxt.index, f"rendered {nxt.rendered!r} does not match the digits")
+    if nxt.index != prev.index + 1:
+        raise StepMismatch(nxt.index, f"record index {nxt.index} does not follow {prev.index}")
+    if nxt.base != prev.base + 1:
+        raise StepMismatch(nxt.index, f"base {nxt.base} does not follow base {prev.base}")
+    if prev.value == 0:
+        raise StepMismatch(nxt.index, "predecessor value is already zero")
+    if nxt.digits != decrement_in_base(prev.digits, nxt.base):
+        raise StepMismatch(nxt.index, f"value {nxt.value} is not a weak successor of {prev.value}")
+    return DescentEvidence(
+        step_index=nxt.index,
+        prev_digits=prev.digits,
+        next_digits=nxt.digits,
+        length_ok=len(nxt.digits) <= len(prev.digits),
+        lex_ok=lex_compare(nxt.digits, prev.digits) is Ordering.LESS,
+        pivot=_pivot(prev.digits, nxt.digits),
+    )
+
+
+def outcome(check, prev, nxt):
+    try:
+        return check(prev, nxt)
+    except StepMismatch as exc:
+        return type(exc), exc.index, str(exc)
+
+
+def forge(record, field, data):
+    """``record`` with one field changed; the other fields are left as they were."""
+    index, base, value, digits, rendered = (
+        record.index, record.base, record.value, record.digits, record.rendered
+    )
+    delta = data.draw(st.sampled_from([-2, -1, 1, 2]), label="delta")
+    if field == "index":
+        index += delta
+    elif field == "base":
+        base += delta
+    elif field == "value":
+        value += delta
+    elif field == "digit" and digits:
+        at = data.draw(st.integers(0, len(digits) - 1), label="position")
+        new = data.draw(st.integers(0, base + 1).filter(lambda d: d != digits[at]), label="digit")
+        digits = digits[:at] + (new,) + digits[at + 1:]
+    elif field == "leading zero":
+        digits = (0,) + digits
+    elif field == "rendered":
+        rendered = data.draw(st.sampled_from([rendered + "0", rendered[1:], "0_2", ""]))
+    return StepRecord(index, base, value, digits, rendered)
+
+
+FIELDS = ["none", "index", "base", "value", "digit", "leading zero", "rendered"]
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    width=st.sampled_from([1, 3, CUT, CUT + 1, 3 * CUT]),
+    base=st.integers(2, 40),
+    steps=st.integers(2, 6),
+    field=st.sampled_from(FIELDS),
+    data=st.data(),
+)
+def test_check_step_matches_the_full_check(width, base, steps, field, data):
+    # seeds up to 3 * CUT digits wide, so the divide-and-conquer evaluation runs
+    digits = [data.draw(st.integers(1, base - 1), label="lead")]
+    digits += data.draw(st.lists(st.integers(0, base - 1), min_size=width - 1, max_size=width - 1))
+    records = weak_records(from_digits(digits, base), steps, base)
+    at = data.draw(st.integers(1, len(records) - 1), label="at")
+    prev, nxt = records[at - 1], forge(records[at], field, data)
+    expected = outcome(reference_check_step, prev, nxt)
+    assert outcome(check_step, prev, nxt) == expected
+    assert isinstance(expected, DescentEvidence) is (nxt == records[at])
+
+
+def test_check_step_after_zero_matches_the_full_check():
+    prev, nxt = make_record(3, 5, 0), make_record(4, 6, 0)
+    assert outcome(check_step, prev, nxt) == outcome(reference_check_step, prev, nxt)
 
 
 # --- verify_run -------------------------------------------------------------------
