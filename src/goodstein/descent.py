@@ -21,17 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import ArityExceeded, DomainError, EmptyRun, StepMismatch
-from .numerals import (
-    Digits,
-    Ordering,
-    _borrow,
-    _evaluate,
-    _render_text,
-    decrement_in_base,
-    from_digits,
-    lex_compare,
-    render,
-)
+from .numerals import Digits, Ordering, _render_text, decrement_in_base, from_digits, lex_compare
 from .sequences import StepRecord
 
 
@@ -83,7 +73,7 @@ def _check_record(record: StepRecord) -> None:
         raise StepMismatch(
             record.index, f"digits {list(digits)} do not spell value {record.value} in base {base}"
         )
-    if record.rendered != render(digits, base).text:
+    if record.rendered != _render_text(digits, base):
         raise StepMismatch(record.index, f"rendered {record.rendered!r} does not match the digits")
 
 
@@ -93,21 +83,7 @@ def check_step(prev: StepRecord, nxt: StepRecord) -> DescentEvidence:
     Raises StepMismatch unless ``nxt`` is self-consistent and follows by a
     genuine weak transition (index and base advance by one, digits are
     ``prev``'s decremented in the new base); a corrupted trace is never scored.
-
-    A checked, nonzero ``prev`` has in-range digits, so their borrow is
-    canonical and in range in the new base. A successor whose digits equal
-    it needs only its value and rendering compared; any other successor
-    goes through every check in order, so each error is the one the full
-    check raises.
     """
-    if nxt.index == prev.index + 1 and nxt.base == prev.base + 1 and prev.value != 0:
-        expected = _borrow(prev.digits, nxt.base)
-        if (
-            nxt.digits == expected
-            and nxt.value == _evaluate(expected, nxt.base)
-            and nxt.rendered == _render_text(expected, nxt.base)
-        ):
-            return _evidence(prev, nxt)
     _check_record(nxt)
     if nxt.index != prev.index + 1:
         raise StepMismatch(nxt.index, f"record index {nxt.index} does not follow {prev.index}")
@@ -117,10 +93,6 @@ def check_step(prev: StepRecord, nxt: StepRecord) -> DescentEvidence:
         raise StepMismatch(nxt.index, "predecessor value is already zero")
     if nxt.digits != decrement_in_base(prev.digits, nxt.base):
         raise StepMismatch(nxt.index, f"value {nxt.value} is not a weak successor of {prev.value}")
-    return _evidence(prev, nxt)
-
-
-def _evidence(prev: StepRecord, nxt: StepRecord) -> DescentEvidence:
     return DescentEvidence(
         step_index=nxt.index,
         prev_digits=prev.digits,
