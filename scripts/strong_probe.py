@@ -13,13 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
-try:
-    import goodstein
-except ImportError:
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    import goodstein
-
-from goodstein import RunConfig, RunKind, run
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from goodstein import RunConfig, RunKind, RunOutcome, run  # noqa: E402
 
 
 def main() -> int:
@@ -29,17 +24,12 @@ def main() -> int:
     parser.add_argument("--max-bits", type=int, default=100_000)
     args = parser.parse_args()
 
-    stream = run(RunKind.STRONG, RunConfig(args.start, max_steps=args.max_steps, max_bits=args.max_bits))
-    outcome = None
-    while True:
-        try:
-            record = next(stream)
-        except StopIteration as stop:
-            outcome = stop.value
-            break
+    cfg = RunConfig(args.start, max_steps=args.max_steps, max_bits=args.max_bits)
+    for record in run(RunKind.STRONG, cfg):
         width = record.value.bit_length()
         shown = record.value if width <= 64 else f"~2^{width - 1}"
         print(f"step {record.index:>3}  base {record.base:>4}  {width:>8} bits  value {shown}")
+    outcome = RunOutcome.of(record, cfg)
     print(f"outcome: {outcome.status.value} after {outcome.steps_emitted} records")
     return 0
 

@@ -52,7 +52,7 @@ def _no_int_str_limit() -> Iterator[None]:
 
     The limit (4300 decimal digits, about 14k bits) guards parsing of
     untrusted input; ``verify`` keeps it. ``run`` and ``convert`` print
-    values far past it.
+    values far past it, and ``convert`` and ``hereditary`` parse them.
     """
     limit = getattr(sys, "get_int_max_str_digits", None)
     if limit is None:
@@ -66,10 +66,19 @@ def _no_int_str_limit() -> Iterator[None]:
         sys.set_int_max_str_digits(previous)
 
 
+def _parse_value(text: str) -> int:
+    # Parsed here, not by argparse's type=int, so that values of any width parse.
+    with _no_int_str_limit():
+        try:
+            return int(text)
+        except ValueError:
+            raise GoodsteinError(f"VALUE must be an integer, got {text!r}") from None
+
+
 def cmd_convert(args: argparse.Namespace) -> int:
     with _no_int_str_limit():
         if args.to_digits is not None:
-            digits = to_digits(args.to_digits, args.base)
+            digits = to_digits(_parse_value(args.to_digits), args.base)
             print(" ".join(str(d) for d in digits) if digits else "0")
         else:
             print(from_digits(_parse_digit_tokens(args.to_value), args.base))
@@ -77,7 +86,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 
 def cmd_hereditary(args: argparse.Namespace) -> int:
-    tree = build_hereditary(args.value, args.base)
+    tree = build_hereditary(_parse_value(args.value), args.base)
     render = render_tree_dot if args.render == "dot" else render_tree_text
     print(render(tree, args.base))
     return 0
@@ -139,27 +148,24 @@ def _run(args: argparse.Namespace) -> int:
     if args.format == "csv":
         print("index,base,value,rendered")
 
-    outcome_box: dict[str, RunOutcome] = {}
+    final = None
 
-    def stream():
-        outcome_box["outcome"] = yield from run(RunKind(args.kind), cfg)
+    def emitting() -> Iterator[StepRecord]:
+        nonlocal final
+        for final in run(RunKind(args.kind), cfg):
+            _emit_record(final, args.format, sys.stdout)
+            yield final
 
-    def emitting():
-        for record in stream():
-            _emit_record(record, args.format, sys.stdout)
-            yield record
-
-    if args.verify:
-        cert = verify_run(emitting())
-        outcome = outcome_box["outcome"]
-        _emit_summary(outcome, args.format, sys.stdout)
-        _emit_certificate(cert, args.format, sys.stdout)
-        return 0 if cert.all_steps_descend else 4
-    for _ in emitting():
+    records = emitting()
+    cert = verify_run(records) if args.verify else None
+    for _ in records:  # drains an unverified run; verify_run has drained a verified one
         pass
-    outcome = outcome_box["outcome"]
+    outcome = RunOutcome.of(final, cfg)
     _emit_summary(outcome, args.format, sys.stdout)
-    return 0 if outcome.status is RunStatus.TERMINATED_AT_ZERO else 3
+    if cert is None:
+        return 0 if outcome.status is RunStatus.TERMINATED_AT_ZERO else 3
+    _emit_certificate(cert, args.format, sys.stdout)
+    return 0 if cert.all_steps_descend else 4
 
 
 def _decimal(field: object) -> int:
@@ -221,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="convert between a value and its digits in a base")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--to-digits", type=int, metavar="VALUE", help="print the digits of VALUE")
+    group.add_argument("--to-digits", metavar="VALUE", help="print the digits of VALUE")
     group.add_argument(
         "--to-value",
         metavar="DIGITS",
@@ -231,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("hereditary", help="render a value in hereditary base notation")
-    p.add_argument("value", type=int)
+    p.add_argument("value", metavar="VALUE")
     p.add_argument("--base", type=int, required=True)
     p.add_argument("--render", choices=("text", "dot"), default="text")
     p.set_defaults(func=cmd_hereditary)

@@ -35,8 +35,6 @@ class DescentEvidence:
     """
 
     step_index: int
-    prev_digits: Digits
-    next_digits: Digits
     length_ok: bool
     lex_ok: bool
     pivot: Optional[int]
@@ -95,8 +93,6 @@ def check_step(prev: StepRecord, nxt: StepRecord) -> DescentEvidence:
         raise StepMismatch(nxt.index, f"value {nxt.value} is not a weak successor of {prev.value}")
     return DescentEvidence(
         step_index=nxt.index,
-        prev_digits=prev.digits,
-        next_digits=nxt.digits,
         length_ok=len(nxt.digits) <= len(prev.digits),
         lex_ok=lex_compare(nxt.digits, prev.digits) is Ordering.LESS,
         pivot=_pivot(prev.digits, nxt.digits),

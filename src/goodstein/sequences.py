@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Generator, Optional
+from typing import Iterator, Optional
 
 from .errors import DomainError, InvalidBase, MagnitudeCapExceeded
 from .hereditary import HereditaryTree, Leaf, build_hereditary
@@ -74,11 +74,27 @@ class RunConfig:
             raise DomainError(f"max_bits must be >= 1, got {self.max_bits}")
 
 
+def _halt(record: StepRecord, cfg: RunConfig) -> Optional[RunStatus]:
+    """Why a run stops at ``record`` before stepping again, or None if it steps."""
+    if record.value == 0:
+        return RunStatus.TERMINATED_AT_ZERO
+    return RunStatus.STEP_CAP_REACHED if record.index + 1 >= cfg.max_steps else None
+
+
 @dataclass(frozen=True)
 class RunOutcome:
     status: RunStatus
     steps_emitted: int
     final: StepRecord
+
+    @classmethod
+    def of(cls, final: StepRecord, cfg: RunConfig) -> RunOutcome:
+        """The outcome of the ``cfg`` run whose last record is ``final``.
+
+        A run that stopped short of zero and of the step cap hit the magnitude cap.
+        """
+        status = _halt(final, cfg) or RunStatus.MAGNITUDE_CAP_REACHED
+        return cls(status, final.index + 1, final)
 
 
 def weak_step(value: int, base: int) -> int:
@@ -164,45 +180,36 @@ def _record(index: int, base: int, value: int, digits: Digits) -> StepRecord:
     return StepRecord(index, base, value, digits, _render_text(digits, base))
 
 
-def run(kind: RunKind, cfg: RunConfig) -> Generator[StepRecord, None, RunOutcome]:
+def run(kind: RunKind, cfg: RunConfig) -> Iterator[StepRecord]:
     """Yield step records until the value reaches zero or a cap fires.
 
     Records stream one at a time, starting with the seed numeral at index
-    0; nothing is precomputed beyond the record being yielded. The
-    RunOutcome is the generator's return value (``StopIteration.value``);
-    use ``run_collected`` when the whole trace fits in memory anyway.
+    0; nothing is precomputed beyond the record being yielded. The last
+    record decides the outcome: ``RunOutcome.of(last, cfg)``. Use
+    ``run_collected`` when the whole trace fits in memory anyway.
 
     Weak and strong runs use ``base = start_base + index``; decreasing
-    runs keep ``start_base`` fixed. ``steps_emitted`` counts emitted
-    records, seed included.
+    runs keep ``start_base`` fixed.
     """
     seed_digits = to_digits(cfg.start_value, cfg.start_base)
     record = _record(0, cfg.start_base, cfg.start_value, seed_digits)
     while True:
         yield record
-        emitted = record.index + 1
-        if record.value == 0:
-            return RunOutcome(RunStatus.TERMINATED_AT_ZERO, emitted, record)
-        if emitted >= cfg.max_steps:
-            return RunOutcome(RunStatus.STEP_CAP_REACHED, emitted, record)
+        if _halt(record, cfg) is not None:
+            return
         base = record.base if kind is RunKind.DECREASING else record.base + 1
         if kind is RunKind.STRONG:
             try:
                 digits, value = _strong_successor(record.digits, record.base, cfg.max_bits)
             except MagnitudeCapExceeded:
-                return RunOutcome(RunStatus.MAGNITUDE_CAP_REACHED, emitted, record)
+                return
         else:
             digits = _borrow(record.digits, base)
             value = _evaluate(digits, base)
-        record = _record(emitted, base, value, digits)
+        record = _record(record.index + 1, base, value, digits)
 
 
 def run_collected(kind: RunKind, cfg: RunConfig) -> tuple[list[StepRecord], RunOutcome]:
     """Exhaust ``run`` into a list and return it with the outcome."""
-    records: list[StepRecord] = []
-    stream = run(kind, cfg)
-    while True:
-        try:
-            records.append(next(stream))
-        except StopIteration as stop:
-            return records, stop.value
+    records = list(run(kind, cfg))
+    return records, RunOutcome.of(records[-1], cfg)

@@ -58,8 +58,9 @@ def test_convert_rejects_digit_out_of_range(capsys):
 
 
 def test_convert_rejects_non_numeric_value(capsys):
-    code, _, _ = run_cli(capsys, "convert", "--to-digits", "abc", "--base", "2")
+    code, _, err = run_cli(capsys, "convert", "--to-digits", "abc", "--base", "2")
     assert code == 2
+    assert err == "error: VALUE must be an integer, got 'abc'\n"
 
 
 # --- hereditary -----------------------------------------------------------------
@@ -81,6 +82,12 @@ def test_hereditary_dot(capsys):
     assert code == 0
     assert out.startswith("digraph")
     assert '[label="exp"]' in out
+
+
+def test_hereditary_rejects_non_numeric_value(capsys):
+    code, _, err = run_cli(capsys, "hereditary", "2.5", "--base", "2")
+    assert code == 2
+    assert err == "error: VALUE must be an integer, got '2.5'\n"
 
 
 def test_hereditary_bad_base(capsys):
@@ -475,6 +482,25 @@ def test_convert_prints_values_past_the_int_str_limit():
     assert proc.returncode == 0
     assert proc.stdout == "1" + "0" * 5000 + "\n"
     assert proc.stderr == ""
+
+
+def test_convert_and_hereditary_parse_values_past_the_int_str_limit():
+    value = "7" + "1" * 5000
+
+    def goodstein(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "goodstein", *argv],
+            capture_output=True,
+            text=True,
+            env=cli_process_env(),
+            cwd=REPO_ROOT,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return proc.stdout.strip()
+
+    digits = goodstein("convert", "--to-digits", value, "--base", "7")
+    assert goodstein("convert", "--to-value", digits, "--base", "7") == value
+    assert goodstein("hereditary", value, "--base", "10").startswith("7.10^(")
 
 
 def test_verify_reports_undecodable_trace(tmp_path):

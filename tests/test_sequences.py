@@ -206,21 +206,42 @@ REFERENCE_STEPS = {
 }
 
 
-@given(kind=st.sampled_from(list(RunKind)), start=st.integers(1, 60), base=st.integers(2, 20))
-def test_record_consistency_along_runs(kind, start, base):
-    cfg = RunConfig(start, base, max_steps=30, max_bits=4000)
+@given(
+    kind=st.sampled_from(list(RunKind)),
+    start=st.integers(0, 300),
+    base=st.integers(2, 20),
+    max_steps=st.integers(1, 60),
+    max_bits=st.integers(1, 4000),
+)
+def test_record_consistency_along_runs(kind, start, base, max_steps, max_bits):
+    # the whole run, outcome included, is what stepping the reference finds
+    cfg = RunConfig(start, base, max_steps, max_bits)
     records, outcome = run_collected(kind, cfg)
     step = REFERENCE_STEPS[kind]
-    assert (records[0].index, records[0].base, records[0].value) == (0, base, start)
-    for prev, nxt in zip(records, records[1:]):
-        assert (nxt.value, nxt.base) == step(prev.value, prev.base, cfg.max_bits)
-        assert nxt.index == prev.index + 1
+    expected = [(0, base, start)]
+    status = None
+    while status is None:
+        index, base_now, value = expected[-1]
+        if value == 0:
+            status = RunStatus.TERMINATED_AT_ZERO
+        elif len(expected) == max_steps:
+            status = RunStatus.STEP_CAP_REACHED
+        else:
+            try:
+                value, base_now = step(value, base_now, max_bits)
+            except MagnitudeCapExceeded:
+                status = RunStatus.MAGNITUDE_CAP_REACHED
+            else:
+                expected.append((index + 1, base_now, value))
+    assert [(r.index, r.base, r.value) for r in records] == expected
+    assert (outcome.status, outcome.steps_emitted, outcome.final) == (
+        status,
+        len(expected),
+        records[-1],
+    )
     for record in records:
         assert record.digits == to_digits(record.value, record.base)
         assert record.rendered == render(record.digits, record.base).text
-    if outcome.status is RunStatus.MAGNITUDE_CAP_REACHED:
-        with pytest.raises(MagnitudeCapExceeded):
-            step(outcome.final.value, outcome.final.base, cfg.max_bits)
 
 
 @settings(deadline=None)
@@ -274,15 +295,9 @@ def test_run_streams_lazily():
 def test_run_collected_matches_run():
     cfg = RunConfig(6, max_steps=100)
     records, outcome = run_collected(RunKind.WEAK, cfg)
-    stream = run(RunKind.WEAK, cfg)
-    streamed = []
-    while True:
-        try:
-            streamed.append(next(stream))
-        except StopIteration as stop:
-            assert stop.value == outcome
-            break
+    streamed = list(run(RunKind.WEAK, cfg))
     assert streamed == records
+    assert RunOutcome.of(streamed[-1], cfg) == outcome
 
 
 def test_run_config_validation():
