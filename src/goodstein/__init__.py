@@ -28,8 +28,6 @@ from .errors import (
 )
 from .hereditary import (
     HereditaryTree,
-    Leaf,
-    Node,
     build_hereditary,
     eval_tree,
     iter_nodes,
@@ -39,7 +37,6 @@ from .hereditary import (
 from .numerals import (
     Digits,
     Ordering,
-    RenderedNumeral,
     decrement_in_base,
     from_digits,
     lex_compare,
@@ -76,11 +73,8 @@ __all__ = [
     "GoodsteinError",
     "HereditaryTree",
     "InvalidBase",
-    "Leaf",
     "MagnitudeCapExceeded",
-    "Node",
     "Ordering",
-    "RenderedNumeral",
     "RunConfig",
     "RunKind",
     "RunOutcome",

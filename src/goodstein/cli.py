@@ -36,11 +36,18 @@ from .sequences import (
 )
 
 
+def _decimal(field: object) -> int:
+    # ``-?[0-9]+`` only: int() would also take "2_6", " 26" and non-ASCII digits
+    if isinstance(field, str) and field.isascii() and field.removeprefix("-").isdigit():
+        return int(field)
+    raise ValueError(f"expected a decimal string, got {field!r}")
+
+
 def _parse_digit_tokens(text: str) -> tuple[int, ...]:
     digits = []
     for token in text.split():
         try:
-            digits.append(int(token))
+            digits.append(_decimal(token))
         except ValueError:
             raise GoodsteinError(f"invalid digit token: {token!r}") from None
     return tuple(digits)
@@ -70,7 +77,7 @@ def _parse_value(text: str) -> int:
     # Parsed here, not by argparse's type=int, so that values of any width parse.
     with _no_int_str_limit():
         try:
-            return int(text)
+            return _decimal(text)
         except ValueError:
             raise GoodsteinError(f"VALUE must be an integer, got {text!r}") from None
 
@@ -166,13 +173,6 @@ def _run(args: argparse.Namespace) -> int:
         return 0 if outcome.status is RunStatus.TERMINATED_AT_ZERO else 3
     _emit_certificate(cert, args.format, sys.stdout)
     return 0 if cert.all_steps_descend else 4
-
-
-def _decimal(field: object) -> int:
-    # ``-?[0-9]+`` only: int() would also take "2_6", " 26" and non-ASCII digits
-    if isinstance(field, str) and field.isascii() and field.removeprefix("-").isdigit():
-        return int(field)
-    raise ValueError(f"expected a decimal string, got {field!r}")
 
 
 def _record_from_json(obj: dict) -> StepRecord:

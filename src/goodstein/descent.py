@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import ArityExceeded, DomainError, EmptyRun, StepMismatch
-from .numerals import Digits, Ordering, _render_text, decrement_in_base, from_digits, lex_compare
+from .numerals import Digits, Ordering, decrement_in_base, from_digits, lex_compare, render
 from .sequences import StepRecord
 
 
@@ -71,7 +71,7 @@ def _check_record(record: StepRecord) -> None:
         raise StepMismatch(
             record.index, f"digits {list(digits)} do not spell value {record.value} in base {base}"
         )
-    if record.rendered != _render_text(digits, base):
+    if record.rendered != render(digits, base):
         raise StepMismatch(record.index, f"rendered {record.rendered!r} does not match the digits")
 
 

@@ -7,14 +7,13 @@ base 3. Every operation that needs a base takes it as an explicit
 argument, and digits are full bignums because the bases a weak Goodstein
 run walks through grow without bound.
 
-The public functions check their input. ``_borrow``, ``_evaluate`` and
-``_render_text`` are the same work without the checks, for callers whose
-digits are in range by construction, such as the borrow's own output.
+The public functions check their input. ``_borrow`` and ``_evaluate`` are
+the same work without the checks, for callers whose digits are in range by
+construction, such as the borrow's own output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -31,12 +30,6 @@ class Ordering(Enum):
     LESS = -1
     EQUAL = 0
     GREATER = 1
-
-
-@dataclass(frozen=True)
-class RenderedNumeral:
-    text: str
-    base: int
 
 
 def _check_base(base: int) -> None:
@@ -203,18 +196,13 @@ def lex_compare(a: Sequence[int], b: Sequence[int]) -> Ordering:
     return Ordering.EQUAL
 
 
-def render(digits: Sequence[int], base: int) -> RenderedNumeral:
+def render(digits: Sequence[int], base: int) -> str:
     """Compact numeral with the base as suffix, e.g. ``(2, 0, 11)`` -> ``20(11)_12``.
 
     Digits below ten print as single characters, larger digits are wrapped
     in parentheses, and a zero-valued (empty) sequence prints as ``0``.
     """
     _check_base(base)
-    return RenderedNumeral(text=_render_text(digits, base), base=base)
-
-
-def _render_text(digits: Sequence[int], base: int) -> str:
-    """The text of ``render(digits, base)``, without checking the base."""
     body = "".join([str(d) if d < 10 else f"({d})" for d in digits]) or "0"
     return f"{body}_{base}"
 

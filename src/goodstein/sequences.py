@@ -9,8 +9,8 @@ explodes and needs a magnitude cap on top of the step cap: each coefficient
 moves to its position's hereditary form evaluated in the new base, then the
 same borrow applies. Each record's digits come out of that borrow (or, for
 the seed, out of ``to_digits``) canonical and in range, so the loop calls
-the unchecked kernels behind ``decrement_in_base``, ``from_digits`` and
-``render`` and checks nothing twice.
+the unchecked kernels behind ``decrement_in_base`` and ``from_digits``
+and checks no digit twice.
 ``weak_step``, ``decreasing_step`` and ``strong_step`` are the
 value-domain references.
 """
@@ -22,8 +22,8 @@ from enum import Enum
 from typing import Iterator, Optional
 
 from .errors import DomainError, InvalidBase, MagnitudeCapExceeded
-from .hereditary import HereditaryTree, Leaf, build_hereditary
-from .numerals import Digits, _borrow, _evaluate, _render_text, from_digits, to_digits
+from .hereditary import HereditaryTree, build_hereditary
+from .numerals import Digits, _borrow, _evaluate, from_digits, render, to_digits
 
 DEFAULT_MAX_STEPS = 10**6
 DEFAULT_MAX_BITS = 10**6
@@ -122,25 +122,19 @@ def decreasing_step(value: int) -> int:
     return value - 1
 
 
-def _eval_capped(tree: Optional[HereditaryTree], base: int, max_bits: int) -> int:
+def _eval_capped(tree: HereditaryTree, base: int, max_bits: int) -> int:
     """Evaluate a hereditary tree, refusing to grow past ``max_bits`` bits.
 
-    The exponent is checked before ``base**exponent`` is computed:
+    A nonzero exponent is checked before ``base**exponent`` is computed:
     ``base**e`` needs at least ``e + 1`` bits, so an exponent at or above
     the cap proves overflow without touching the power.
     """
     total = 0
-    node = tree
-    while node is not None:
-        if isinstance(node, Leaf):
-            total += node.coefficient
-            node = None
-        else:
-            exponent = _eval_capped(node.exponent, base, max_bits)
-            if exponent >= max_bits:
-                raise MagnitudeCapExceeded(exponent + 1)
-            total += node.coefficient * base**exponent
-            node = node.next
+    for exponent_tree, coefficient in tree:
+        exponent = _eval_capped(exponent_tree, base, max_bits)
+        if exponent_tree and exponent >= max_bits:
+            raise MagnitudeCapExceeded(exponent + 1)
+        total += coefficient * base**exponent
         if total.bit_length() > max_bits:
             raise MagnitudeCapExceeded(total.bit_length())
     return total
@@ -177,7 +171,7 @@ def _strong_successor(digits: Digits, base: int, max_bits: int) -> tuple[Digits,
 
 
 def _record(index: int, base: int, value: int, digits: Digits) -> StepRecord:
-    return StepRecord(index, base, value, digits, _render_text(digits, base))
+    return StepRecord(index, base, value, digits, render(digits, base))
 
 
 def run(kind: RunKind, cfg: RunConfig) -> Iterator[StepRecord]:

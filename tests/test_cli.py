@@ -63,6 +63,23 @@ def test_convert_rejects_non_numeric_value(capsys):
     assert err == "error: VALUE must be an integer, got 'abc'\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["convert", "--to-digits", "1_000"], "VALUE must be an integer, got '1_000'"),
+        (["convert", "--to-digits", "\u0662\u0665"], "VALUE must be an integer, got '\u0662\u0665'"),
+        (["convert", "--to-digits", "+25"], "VALUE must be an integer, got '+25'"),
+        (["convert", "--to-value", "1_0"], "invalid digit token: '1_0'"),
+        (["hereditary", "\u0662\u0665"], "VALUE must be an integer, got '\u0662\u0665'"),
+    ],
+    ids=["underscore", "arabic-indic", "plus-sign", "digit-underscore", "hereditary-arabic-indic"],
+)
+def test_cli_values_are_plain_ascii_decimals(capsys, argv, message):
+    # the same -?[0-9]+ rule that verify applies to trace fields
+    code, out, err = run_cli(capsys, *argv, "--base", "20")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # --- hereditary -----------------------------------------------------------------
 
 def test_hereditary_text(capsys):
@@ -82,6 +99,45 @@ def test_hereditary_dot(capsys):
     assert code == 0
     assert out.startswith("digraph")
     assert '[label="exp"]' in out
+
+
+DOT_25_BASE_2 = """\
+digraph hereditary {
+  label="hereditary base 2";
+  node [shape=circle];
+  n0 [label="1"];
+  n1 [label="1"];
+  n2 [label="1"];
+  n3 [label="1"];
+  n2 -> n3 [label="exp"];
+  n1 -> n2 [label="exp"];
+  n0 -> n1 [label="exp"];
+  n4 [label="1"];
+  n0 -> n4 [label="add"];
+  n5 [label="1"];
+  n6 [label="1"];
+  n5 -> n6 [label="exp"];
+  n7 [label="1"];
+  n5 -> n7 [label="add"];
+  n4 -> n5 [label="exp"];
+  n8 [label="1"];
+  n4 -> n8 [label="add"];
+}
+"""
+
+DOT_0_BASE_2 = """\
+digraph hereditary {
+  label="hereditary base 2";
+  node [shape=circle];
+  n0 [label="0"];
+}
+"""
+
+
+@pytest.mark.parametrize("value, expected", [("25", DOT_25_BASE_2), ("0", DOT_0_BASE_2)])
+def test_hereditary_dot_bytes(capsys, value, expected):
+    code, out, err = run_cli(capsys, "hereditary", value, "--base", "2", "--render", "dot")
+    assert (code, out, err) == (0, expected, "")
 
 
 def test_hereditary_rejects_non_numeric_value(capsys):

@@ -12,7 +12,7 @@ from goodstein.sequences import RunConfig, RunKind, StepRecord, run, run_collect
 
 def make_record(index, base, value):
     digits = to_digits(value, base)
-    return StepRecord(index, base, value, digits, render(digits, base).text)
+    return StepRecord(index, base, value, digits, render(digits, base))
 
 
 def weak_records(start, steps, start_base=2):

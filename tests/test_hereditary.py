@@ -4,8 +4,6 @@ from hypothesis import strategies as st
 
 from goodstein.errors import CoefficientOutOfRange, DomainError, InvalidBase
 from goodstein.hereditary import (
-    Leaf,
-    Node,
     build_from_digits,
     build_hereditary,
     eval_tree,
@@ -14,26 +12,35 @@ from goodstein.hereditary import (
     render_tree_text,
 )
 from goodstein.numerals import to_digits
+from goodstein.sequences import RunConfig, RunKind, run
+
+
+ZERO = ()
+
+
+def const(c):
+    return ((ZERO, c),)
 
 
 def test_build_25_base_2_structure():
     # 2^(2^2) + 2^(2+1) + 1
-    two = Node(1, Leaf(1), None)
-    three = Node(1, Leaf(1), Leaf(1))
-    four = Node(1, two, None)
-    assert build_hereditary(25, 2) == Node(1, four, Node(1, three, Leaf(1)))
+    two = ((const(1), 1),)
+    three = ((const(1), 1), (ZERO, 1))
+    four = ((two, 1),)
+    assert build_hereditary(25, 2) == ((four, 1), (three, 1), (ZERO, 1))
 
 
 def test_build_774840988_base_3_structure():
     # 2*3^(2*3^2) + 3^2 + 1
-    eighteen = Node(2, Leaf(2), None)
-    assert build_hereditary(774840988, 3) == Node(2, eighteen, Node(1, Leaf(2), Leaf(1)))
+    eighteen = ((const(2), 2),)
+    assert build_hereditary(774840988, 3) == ((eighteen, 2), (const(2), 1), (ZERO, 1))
 
 
 @pytest.mark.parametrize("base", [2, 3, 10])
 def test_build_constant_is_leaf(base):
-    assert build_hereditary(1, base) == Leaf(1)
-    assert build_hereditary(0, base) == Leaf(0)
+    assert build_hereditary(1, base) == const(1) == (((), 1),)
+    assert build_hereditary(0, base) == ZERO
+    assert build_hereditary(base - 1, base) == const(base - 1)
 
 
 @given(value=st.integers(0, 10**9), base=st.integers(2, 16))
@@ -78,20 +85,15 @@ def test_same_tree_across_bases():
 def test_coefficient_bounds_after_build():
     for base in range(2, 7):
         for value in range(1, 2000):
-            for node in iter_nodes(build_hereditary(value, base)):
-                assert 0 <= node.coefficient < base
-                if isinstance(node, Node):
-                    assert node.coefficient >= 1
+            for exponent, coefficient in iter_nodes(build_hereditary(value, base)):
+                assert 1 <= coefficient < base
 
 
 def test_exponents_strictly_decrease_along_chain():
     for base in (2, 3, 5):
         for value in (base**4 + base**2 + base, 1000, 729):
-            node = build_hereditary(value, base)
-            exponents = []
-            while isinstance(node, Node):
-                exponents.append(eval_tree(node.exponent, base))
-                node = node.next
+            tree = build_hereditary(value, base)
+            exponents = [eval_tree(exponent, base) for exponent, _ in tree]
             assert exponents == sorted(exponents, reverse=True)
             assert len(set(exponents)) == len(exponents)
 
@@ -119,13 +121,34 @@ def test_monotone_reinterpretation_hypothesis(value, base):
 
 def test_eval_rejects_oversized_coefficient():
     with pytest.raises(CoefficientOutOfRange):
-        eval_tree(Leaf(5), 3)
+        eval_tree(const(5), 3)
     with pytest.raises(CoefficientOutOfRange):
-        eval_tree(build_hereditary(7, 8), 4)  # Leaf(7) cannot be read in base 4
+        eval_tree(build_hereditary(7, 8), 4)  # the constant 7 cannot be read in base 4
 
 
 def test_eval_allows_coefficient_equal_to_base():
-    assert eval_tree(Leaf(3), 3) == 3
+    assert eval_tree(const(3), 3) == 3
+
+
+def test_tuple_order_is_value_order_in_a_fixed_base():
+    for base in range(2, 6):
+        trees = [build_hereditary(value, base) for value in range(2000)]
+        assert trees == sorted(trees)
+        assert len(set(trees)) == len(trees)
+
+
+def test_tuple_order_descends_along_strong_runs():
+    # Goodstein's argument: read with ω for the base, the tree is a Cantor
+    # normal form, and that ordinal strictly decreases at every strong step.
+    steps = 0
+    for start in range(1, 17):
+        records = list(run(RunKind.STRONG, RunConfig(start, max_steps=400, max_bits=20000)))
+        for prev, record in zip(records, records[1:]):
+            assert build_hereditary(record.value, record.base) < build_hereditary(
+                prev.value, prev.base
+            ), (start, record.index)
+        steps += len(records) - 1
+    assert steps == 4837
 
 
 def test_deep_chain_has_no_recursion_blowup():
@@ -156,29 +179,34 @@ def test_render_text(value, base, expected):
 
 
 def test_render_text_of_bare_leaf():
-    assert render_tree_text(Leaf(0), 5) == "0"
-    assert render_tree_text(Leaf(4), 5) == "4"
+    assert render_tree_text(ZERO, 5) == "0"
+    assert render_tree_text(const(4), 5) == "4"
 
 
 # --- DOT rendering ------------------------------------------------------------
 
 def test_dot_single_leaf():
-    dot = render_tree_dot(Leaf(2), 7)
+    dot = render_tree_dot(const(2), 7)
     assert dot.startswith("digraph")
     assert dot.count("label=\"2\"") == 1
     assert "->" not in dot
+    zero = render_tree_dot(ZERO, 7)
+    assert zero.count("[label=") == 1
+    assert '  n0 [label="0"];' in zero.splitlines()
+    assert "->" not in zero
 
 
 def test_dot_structure_matches_tree():
     tree = build_hereditary(25, 2)
     dot = render_tree_dot(tree, 2)
-    nodes = list(iter_nodes(tree))
+    terms = list(iter_nodes(tree))
+    chains = [tree] + [exponent for exponent, _ in terms if exponent]
     node_lines = [l for l in dot.splitlines() if "[label=" in l and "->" not in l]
     exp_edges = [l for l in dot.splitlines() if '[label="exp"]' in l]
     add_edges = [l for l in dot.splitlines() if '[label="add"]' in l]
-    assert len(node_lines) == len(nodes)
-    assert len(exp_edges) == sum(1 for n in nodes if isinstance(n, Node))
-    assert len(add_edges) == sum(1 for n in nodes if isinstance(n, Node) and n.next is not None)
+    assert len(node_lines) == len(terms) == 9
+    assert len(exp_edges) == sum(1 for exponent, _ in terms if exponent) == 5
+    assert len(add_edges) == sum(len(chain) - 1 for chain in chains) == 3
     assert dot.rstrip().endswith("}")
 
 

@@ -294,9 +294,7 @@ def test_digit_sequences_carry_no_base():
     ],
 )
 def test_render(digits, base, expected):
-    numeral = render(digits, base)
-    assert numeral.text == expected
-    assert numeral.base == base
+    assert render(digits, base) == expected
 
 
 # --- power_predecessor ----------------------------------------------------------------
