@@ -5,9 +5,9 @@ rendering), ``run`` (stream a sequence), ``verify`` (recheck a JSONL weak
 trace and emit a descent certificate).
 
 Exit codes, all set in ``main``: 0 success, 2 bad arguments, malformed or
-unreadable input, or an I/O error, 3 run stopped by a cap, 4 descent
-violation or trace mismatch. Values travel as decimal strings; JSON
-numbers are used only for record indices.
+unreadable input, or an I/O error, 3 run stopped by a cap, 4 a trace
+record that is not a descending weak step. Values travel as decimal
+strings; JSON numbers are used only for record indices.
 """
 
 from __future__ import annotations
@@ -128,16 +128,15 @@ def _emit_summary(outcome: RunOutcome, fmt: str, out: TextIO) -> None:
 
 
 def _certificate_json(cert: DescentCertificate) -> str:
-    verdict = "AllStepsDescend" if cert.all_steps_descend else {"violation_at": cert.violation_at}
-    return json.dumps({"k": cert.k, "verdict": verdict, "steps_checked": len(cert.evidence)})
+    steps = len(cert.evidence)
+    return json.dumps({"k": cert.k, "verdict": "AllStepsDescend", "steps_checked": steps})
 
 
 def _emit_certificate(cert: DescentCertificate, fmt: str, out: TextIO) -> None:
     if fmt == "jsonl":
         print(_certificate_json(cert), file=out)
         return
-    verdict = "AllStepsDescend" if cert.all_steps_descend else f"ViolationAt({cert.violation_at})"
-    print(f"# verdict={verdict} steps_checked={len(cert.evidence)} k={cert.k}", file=out)
+    print(f"# verdict=AllStepsDescend steps_checked={len(cert.evidence)} k={cert.k}", file=out)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -172,10 +171,16 @@ def _run(args: argparse.Namespace) -> int:
     if cert is None:
         return 0 if outcome.status is RunStatus.TERMINATED_AT_ZERO else 3
     _emit_certificate(cert, args.format, sys.stdout)
-    return 0 if cert.all_steps_descend else 4
+    return 0
 
 
-def _record_from_json(obj: dict) -> StepRecord:
+# Run summaries and certificates share the stream; every other line is a record.
+_NON_RECORD_KEYS = ({"status", "steps_emitted"}, {"k", "verdict", "steps_checked"})
+
+
+def _record_from_json(obj: object) -> StepRecord:
+    if not isinstance(obj, dict):
+        raise ValueError("a record must be a JSON object")
     index, digits, rendered = obj["index"], obj["digits"], obj["rendered"]
     if type(index) is not int or not isinstance(digits, list) or not isinstance(rendered, str):
         raise ValueError("index must be an integer, digits a list, rendered a string")
@@ -198,8 +203,8 @@ def _read_trace(handle: TextIO) -> Iterator[StepRecord]:
             obj = json.loads(line)
         except (ValueError, RecursionError):
             raise GoodsteinError(f"line {lineno}: not valid JSON") from None
-        if not isinstance(obj, dict) or "index" not in obj:
-            continue  # run summaries and certificates travel in the same stream
+        if isinstance(obj, dict) and obj.keys() in _NON_RECORD_KEYS:
+            continue
         try:
             record = _record_from_json(obj)
         except (KeyError, ValueError) as exc:
@@ -215,7 +220,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         with open(args.path, encoding="utf-8") as handle:
             cert = verify_run(_read_trace(handle))
     print(_certificate_json(cert))
-    return 0 if cert.all_steps_descend else 4
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -186,14 +186,12 @@ def lex_compare(a: Sequence[int], b: Sequence[int]) -> Ordering:
     A strictly shorter sequence is LESS; equal lengths compare digit by
     digit from the most significant position. This is a total order, and
     on equal lengths it coincides with comparing the sequences left-padded
-    with zeros.
+    with zeros. It is tuple order on the keys ``(len, digits)``.
     """
-    if len(a) != len(b):
-        return Ordering.LESS if len(a) < len(b) else Ordering.GREATER
-    for x, y in zip(a, b):
-        if x != y:
-            return Ordering.LESS if x < y else Ordering.GREATER
-    return Ordering.EQUAL
+    key_a, key_b = (len(a), tuple(a)), (len(b), tuple(b))
+    if key_a < key_b:
+        return Ordering.LESS
+    return Ordering.GREATER if key_a > key_b else Ordering.EQUAL
 
 
 def render(digits: Sequence[int], base: int) -> str:

@@ -328,6 +328,21 @@ def test_verify_flags_tampered_record(tmp_path, capsys, index, field, forged):
     assert f"step {index}" in err
 
 
+def test_verify_rejects_a_step_that_does_not_descend(tmp_path, capsys, monkeypatch):
+    # with the borrow patched out, 1000_2 -> 1000_3 passes the transition check
+    monkeypatch.setattr("goodstein.descent.decrement_in_base", lambda digits, base: tuple(digits))
+    path = tmp_path / "flat.jsonl"
+    digits = ["1", "0", "0", "0"]
+    write_records(path, [
+        {"index": 0, "base": "2", "value": "8", "digits": digits, "rendered": "1000_2"},
+        {"index": 1, "base": "3", "value": "27", "digits": digits, "rendered": "1000_3"},
+    ])
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 4
+    assert out == ""
+    assert err == "error: step 1: digits do not descend in length-first lexicographic order\n"
+
+
 def test_verify_empty_input(tmp_path, capsys):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
@@ -373,6 +388,49 @@ def test_verify_rejects_off_schema_record(tmp_path, capsys, index, field, forged
     assert code == 2
     assert out == ""
     assert f"line {index + 1}: bad record" in err
+
+
+def without_index(record):
+    # the index-less record is also forged, so skipping it would hide a bad step
+    forged = {**record, "value": "999", "rendered": "bogus"}
+    del forged["index"]
+    return forged
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        without_index,
+        lambda record: list(record.values()),
+        lambda record: record["rendered"],
+        lambda record: 9,
+    ],
+    ids=["record-without-index", "json-array", "json-string", "json-number"],
+)
+def test_verify_rejects_a_line_that_is_no_record(tmp_path, capsys, forge):
+    lines = jsonl_trace(capsys, 8, 10).strip().splitlines()
+    records = [json.loads(line) for line in lines]  # ends with the run summary
+    records[9] = json.dumps(forge(records[9]))
+    path = tmp_path / "forged.jsonl"
+    write_records(path, records)
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 10: bad record (")
+
+
+def test_verify_skips_the_summary_and_certificate_lines(capsys, monkeypatch):
+    code, trace, _ = run_cli(
+        capsys, "run", "weak", "--start", "8", "--max-steps", "10", "--format", "jsonl", "--verify"
+    )
+    assert code == 0
+    assert [set(json.loads(line)) for line in trace.splitlines()[-2:]] == [
+        {"status", "steps_emitted"}, {"k", "verdict", "steps_checked"}
+    ]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(trace))
+    code, out, _ = run_cli(capsys, "verify", "-")
+    assert code == 0
+    assert json.loads(out) == {"k": 4, "verdict": "AllStepsDescend", "steps_checked": 9}
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,6 @@ def test_check_step_length_drop():
     prev, nxt = weak_records(8, 2)
     assert prev.digits == (1, 0, 0, 0) and nxt.digits == (2, 2, 2)
     evidence = check_step(prev, nxt)
-    assert evidence.length_ok and evidence.lex_ok
     assert evidence.pivot == 0
     assert evidence.step_index == 1
 
@@ -34,10 +33,8 @@ def test_check_step_length_drop():
 def test_check_step_equal_length_pivot():
     records = weak_records(8, 5)
     evidence = check_step(records[1], records[2])  # 222_3 -> 221_4
-    assert evidence.lex_ok and evidence.length_ok
     assert evidence.pivot == 2
     evidence = check_step(records[3], records[4])  # 220_5 -> 215_6
-    assert evidence.lex_ok and evidence.length_ok
     assert evidence.pivot == 1
 
 
@@ -76,6 +73,15 @@ def test_check_step_rejects_terminated_predecessor():
     with pytest.raises(StepMismatch, match="predecessor value is already zero") as exc:
         check_step(make_record(3, 5, 0), make_record(4, 6, 0))
     assert exc.value.index == 4
+
+
+def test_check_step_rejects_a_step_that_does_not_descend(monkeypatch):
+    # with the borrow patched out, 1000_2 -> 1000_3 passes the transition check
+    monkeypatch.setattr("goodstein.descent.decrement_in_base", lambda digits, base: tuple(digits))
+    message = "digits do not descend in length-first lexicographic order"
+    with pytest.raises(StepMismatch, match=message) as exc:
+        check_step(make_record(0, 2, 8), make_record(1, 3, 27))
+    assert exc.value.index == 1
 
 
 def test_check_step_rejects_index_gap():
@@ -146,7 +152,6 @@ def test_check_step_checks_the_predecessor_digits():
 def test_verify_run_from_8_descends():
     cert = verify_run(run(RunKind.WEAK, RunConfig(8, max_steps=50)))
     assert cert.all_steps_descend
-    assert cert.violation_at is None
     assert cert.k == 4
     assert len(cert.evidence) == 49
     assert cert.start.value == 8
