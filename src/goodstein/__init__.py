@@ -9,7 +9,6 @@ record streams), ``descent`` (lexicographic descent certificates), and
 
 from .descent import (
     DescentCertificate,
-    DescentEvidence,
     check_step,
     rank,
     verify_run,
@@ -65,7 +64,6 @@ __all__ = [
     "DEFAULT_MAX_BITS",
     "DEFAULT_MAX_STEPS",
     "DescentCertificate",
-    "DescentEvidence",
     "DigitOutOfRange",
     "Digits",
     "DomainError",

@@ -119,17 +119,23 @@ def _emit_record(record: StepRecord, fmt: str, out: TextIO) -> None:
     out.write(line + "\n")
 
 
+def _summary(status: RunStatus, steps_emitted: int) -> dict:
+    return {"status": status.value, "steps_emitted": steps_emitted}
+
+
+def _certificate(k: int, steps_checked: int) -> dict:
+    return {"k": k, "verdict": "AllStepsDescend", "steps_checked": steps_checked}
+
+
 def _emit_summary(outcome: RunOutcome, fmt: str, out: TextIO) -> None:
     if fmt == "jsonl":
-        summary = {"status": outcome.status.value, "steps_emitted": outcome.steps_emitted}
-        print(json.dumps(summary), file=out)
+        print(json.dumps(_summary(outcome.status, outcome.steps_emitted)), file=out)
     else:
         print(f"# status={outcome.status.value} steps={outcome.steps_emitted}", file=out)
 
 
 def _certificate_json(cert: DescentCertificate) -> str:
-    steps = len(cert.evidence)
-    return json.dumps({"k": cert.k, "verdict": "AllStepsDescend", "steps_checked": steps})
+    return json.dumps(_certificate(cert.k, len(cert.evidence)))
 
 
 def _emit_certificate(cert: DescentCertificate, fmt: str, out: TextIO) -> None:
@@ -175,7 +181,9 @@ def _run(args: argparse.Namespace) -> int:
 
 
 # Run summaries and certificates share the stream; every other line is a record.
-_NON_RECORD_KEYS = ({"status", "steps_emitted"}, {"k", "verdict", "steps_checked"})
+_SUMMARY_KEYS = {"status", "steps_emitted"}
+_NON_RECORD_KEYS = (_SUMMARY_KEYS, {"k", "verdict", "steps_checked"})
+_RECORD_KEYS = {"index", "base", "value", "digits", "rendered"}
 
 
 def _record_from_json(obj: object) -> StepRecord:
@@ -184,17 +192,45 @@ def _record_from_json(obj: object) -> StepRecord:
     index, digits, rendered = obj["index"], obj["digits"], obj["rendered"]
     if type(index) is not int or not isinstance(digits, list) or not isinstance(rendered, str):
         raise ValueError("index must be an integer, digits a list, rendered a string")
-    return StepRecord(
+    record = StepRecord(
         index=index,
         base=_decimal(obj["base"]),
         value=_decimal(obj["value"]),
         digits=tuple(map(_decimal, digits)),
         rendered=rendered,
     )
+    if len(obj) != len(_RECORD_KEYS):  # every record key is present by now
+        raise ValueError(f"unexpected keys {sorted(obj.keys() - _RECORD_KEYS)}")
+    return record
+
+
+def _check_trailer(obj: dict, lineno: int, last: Optional[StepRecord], k: int, count: int) -> None:
+    """Raise unless a summary or certificate line agrees with the ``count`` records before it.
+
+    A weak run has no magnitude cap: it stops at zero or at the step cap.
+    """
+    if obj.keys() == _SUMMARY_KEYS:
+        what = "run summary"
+        zero = last is not None and last.value == 0
+        status = RunStatus.TERMINATED_AT_ZERO if zero else RunStatus.STEP_CAP_REACHED
+        expected = _summary(status, count)
+    else:
+        what = "certificate"
+        expected = _certificate(k, count - 1)
+    # JSON true and 1.0 compare equal to 1, so the types must match too
+    if last is None or any(
+        type(obj[key]) is not type(want) or obj[key] != want for key, want in expected.items()
+    ):
+        raise GoodsteinError(f"line {lineno}: {what} does not match the {count} records before it")
 
 
 def _read_trace(handle: TextIO) -> Iterator[StepRecord]:
-    """Yield the records of a JSONL trace one line at a time."""
+    """Yield the records of a JSONL trace one line at a time.
+
+    A run summary or certificate line must agree with the records before it,
+    and no record may follow it.
+    """
+    last, k, count, ended = None, 0, 0, False
     for lineno, line in enumerate(handle, 1):
         line = line.strip()
         if not line:
@@ -204,12 +240,19 @@ def _read_trace(handle: TextIO) -> Iterator[StepRecord]:
         except (ValueError, RecursionError):
             raise GoodsteinError(f"line {lineno}: not valid JSON") from None
         if isinstance(obj, dict) and obj.keys() in _NON_RECORD_KEYS:
+            _check_trailer(obj, lineno, last, k, count)
+            ended = True
             continue
         try:
-            record = _record_from_json(obj)
+            last = _record_from_json(obj)
         except (KeyError, ValueError) as exc:
             raise GoodsteinError(f"line {lineno}: bad record ({exc})") from None
-        yield record
+        if ended:
+            raise GoodsteinError(f"line {lineno}: a record follows the run summary or certificate")
+        if count == 0:
+            k = len(last.digits)
+        count += 1
+        yield last
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -12,9 +12,10 @@ The verifier never assumes the property it checks. Every record, the seed
 included, is checked once: canonical digits that spell ``value`` in ``base``
 and match ``rendered``. Each successor's digits must be ``decrement_in_base``
 of its predecessor's in the new base, the transition ``sequences.run`` takes,
-and must come first in length-first lexicographic order. The borrow implies
-that order, but it is checked explicitly; it bounds each successor's length
-by its predecessor's, so no record outgrows the seed's arity.
+and, zero-padded to the predecessor's length, must be a smaller tuple. The
+borrow implies that descent, but it is checked explicitly; it bounds each
+successor's length by its predecessor's, so no record outgrows the seed's
+arity. A certificate keeps the seed, its arity and one pivot per step.
 """
 
 from __future__ import annotations
@@ -23,18 +24,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ArityExceeded, DomainError, EmptyRun, StepMismatch
-from .numerals import Ordering, decrement_in_base, from_digits, lex_compare, render
+from .numerals import decrement_in_base, from_digits, render
 from .sequences import StepRecord
-
-
-@dataclass(frozen=True)
-class DescentEvidence:
-    """Where one step descended: ``pivot`` is the first position, after left-padding
-    the successor to the predecessor's length, that holds a strictly smaller digit.
-    """
-
-    step_index: int
-    pivot: int
 
 
 @dataclass(frozen=True)
@@ -42,13 +33,15 @@ class DescentCertificate:
     """Per-step descent evidence for a whole run.
 
     ``k`` is the seed record's digit count: the arity of the ranking
-    function. ``all_steps_descend`` is always True, since ``verify_run``
-    raises on any trace with a step that does not descend.
+    function. ``evidence[i]`` is the pivot of the step into record
+    ``start.index + i + 1``, as ``check_step`` returns it.
+    ``all_steps_descend`` is always True, since ``verify_run`` raises on
+    any trace with a step that does not descend.
     """
 
     start: StepRecord
     k: int
-    evidence: tuple[DescentEvidence, ...]
+    evidence: tuple[int, ...]
 
     @property
     def all_steps_descend(self) -> bool:
@@ -70,13 +63,15 @@ def _check_record(record: StepRecord) -> None:
         raise StepMismatch(record.index, f"rendered {record.rendered!r} does not match the digits")
 
 
-def check_step(prev: StepRecord, nxt: StepRecord) -> DescentEvidence:
+def check_step(prev: StepRecord, nxt: StepRecord) -> int:
     """Score one adjacent pair of a weak run whose ``prev`` is already checked.
 
     Raises StepMismatch unless ``nxt`` is self-consistent and follows by a
     genuine, descending weak transition (index and base advance by one,
     digits are ``prev``'s decremented in the new base and come before them
     in length-first lexicographic order); a failing step is never scored.
+    Returns the pivot: the first position where ``nxt.digits``, left-padded
+    with zeros to ``prev``'s length, holds a smaller digit than ``prev``.
     """
     _check_record(nxt)
     if nxt.index != prev.index + 1:
@@ -87,14 +82,17 @@ def check_step(prev: StepRecord, nxt: StepRecord) -> DescentEvidence:
         raise StepMismatch(nxt.index, "predecessor value is already zero")
     if nxt.digits != decrement_in_base(prev.digits, nxt.base):
         raise StepMismatch(nxt.index, f"value {nxt.value} is not a weak successor of {prev.value}")
-    if lex_compare(nxt.digits, prev.digits) is not Ordering.LESS:
+    # prev is canonical, so for a successor no longer than it, length-first
+    # lexicographic order is tuple order on the zero-padded successor.
+    # tuple() because a caller's seed may hold its digits in any sequence.
+    shortfall = len(prev.digits) - len(nxt.digits)
+    padded = (0,) * shortfall + nxt.digits
+    if shortfall < 0 or padded >= tuple(prev.digits):
         raise StepMismatch(nxt.index, "digits do not descend in length-first lexicographic order")
-    # Both are canonical and nxt is LESS, so the first difference is a smaller digit.
-    padded = (0,) * (len(prev.digits) - len(nxt.digits)) + nxt.digits
     pivot = 0
     while padded[pivot] == prev.digits[pivot]:
         pivot += 1
-    return DescentEvidence(step_index=nxt.index, pivot=pivot)
+    return pivot
 
 
 def verify_run(records: Iterable[StepRecord]) -> DescentCertificate:
@@ -103,14 +101,14 @@ def verify_run(records: Iterable[StepRecord]) -> DescentCertificate:
     Consumes the record stream once and checks each record once, the seed
     included. Raises StepMismatch at the first record that fails a check,
     so a returned certificate always says every step descends; it keeps
-    evidence for every pair.
+    one pivot per pair.
     """
     stream = iter(records)
     first = next(stream, None)
     if first is None:
         raise EmptyRun("a run holds at least its seed record")
     _check_record(first)
-    evidence: list[DescentEvidence] = []
+    evidence: list[int] = []
     prev = first
     for record in stream:
         evidence.append(check_step(prev, record))

@@ -376,6 +376,7 @@ def write_records(path, records):
         (1, "digits", "222"),  # a string, which map(int, ...) iterates by character
         (1, "value", "2_6"),  # int() accepts the underscore and reads 26
         (1, "value", "\u0662\u0666"),  # Arabic-Indic digits, which int() reads as 26
+        (2, "steps_emitted", 1),  # a key outside the record schema
     ],
 )
 def test_verify_rejects_off_schema_record(tmp_path, capsys, index, field, forged):
@@ -431,6 +432,53 @@ def test_verify_skips_the_summary_and_certificate_lines(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "-")
     assert code == 0
     assert json.loads(out) == {"k": 4, "verdict": "AllStepsDescend", "steps_checked": 9}
+
+
+SUMMARY_10 = '{"status": "StepCapReached", "steps_emitted": 10}'
+
+
+@pytest.mark.parametrize(
+    "start, forge, expected",
+    [
+        (5, lambda t: t[:10] + ['{"status": "StepCapReached", "steps_emitted": 999}'],
+         "line 11: run summary does not match the 10 records before it"),
+        (5, lambda t: t[:10] + ['{"status": "StepCapReached", "steps_emitted": 10.0}'],
+         "line 11: run summary"),
+        (5, lambda t: t[:10] + ['{"status": "TerminatedAtZero", "steps_emitted": 10}'],
+         "line 11: run summary"),
+        (3, lambda t: t[:-2] + ['{"status": "StepCapReached", "steps_emitted": 6}'],
+         "line 7: run summary does not match the 6 records before it"),
+        (5, lambda t: t[:9] + [SUMMARY_10, t[9]],
+         "line 10: run summary does not match the 9 records before it"),
+        (5, lambda t: t[:3] + ['{"status": "TerminatedAtZero", "steps_emitted": 999}'] + t[3:],
+         "line 4: run summary does not match the 3 records before it"),
+        (5, lambda t: t[:4] + ['{"status": "StepCapReached", "steps_emitted": 4}'] + t[4:],
+         "line 6: a record follows the run summary"),
+        (5, lambda t: t[:11] + ['{"k": 4, "verdict": "AllStepsDescend", "steps_checked": 9}'],
+         "line 12: certificate does not match the 10 records before it"),
+        (5, lambda t: t[:11] + ['{"k": 3, "verdict": "AllStepsDescend", "steps_checked": 10}'],
+         "line 12: certificate"),
+        (5, lambda t: t[:11] + ['{"k": 3, "verdict": "ViolationAt", "steps_checked": 9}'],
+         "line 12: certificate"),
+        (5, lambda t: [SUMMARY_10] + t[:10], "line 1: run summary does not match the 0 records"),
+    ],
+    ids=[
+        "forged-steps_emitted", "float-steps_emitted", "forged-status", "forged-status-at-zero",
+        "summary-before-the-last-record", "summary-after-record-3", "record-after-summary",
+        "forged-k", "forged-steps_checked", "forged-verdict", "summary-before-every-record",
+    ],
+)
+def test_verify_checks_the_summary_and_certificate_lines(tmp_path, capsys, start, forge, expected):
+    code, trace, _ = run_cli(
+        capsys, "run", "weak", "--start", str(start), "--max-steps", "10", "--format", "jsonl",
+        "--verify",
+    )
+    assert code == 0
+    path = tmp_path / "forged.jsonl"
+    write_records(path, forge(trace.splitlines()))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {expected}")
 
 
 @pytest.mark.parametrize(

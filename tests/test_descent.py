@@ -25,17 +25,13 @@ def weak_records(start, steps, start_base=2):
 def test_check_step_length_drop():
     prev, nxt = weak_records(8, 2)
     assert prev.digits == (1, 0, 0, 0) and nxt.digits == (2, 2, 2)
-    evidence = check_step(prev, nxt)
-    assert evidence.pivot == 0
-    assert evidence.step_index == 1
+    assert check_step(prev, nxt) == 0
 
 
 def test_check_step_equal_length_pivot():
     records = weak_records(8, 5)
-    evidence = check_step(records[1], records[2])  # 222_3 -> 221_4
-    assert evidence.pivot == 2
-    evidence = check_step(records[3], records[4])  # 220_5 -> 215_6
-    assert evidence.pivot == 1
+    assert check_step(records[1], records[2]) == 2  # 222_3 -> 221_4
+    assert check_step(records[3], records[4]) == 1  # 220_5 -> 215_6
 
 
 def test_check_step_rejects_wrong_base():
@@ -133,7 +129,7 @@ def test_check_step_rejects_every_single_field_forgery(width, base, steps, field
     at = data.draw(st.integers(1, len(records) - 1), label="at")
     prev, nxt = records[at - 1], forge(records[at], field, data)
     if nxt == records[at]:
-        assert check_step(prev, nxt).step_index == nxt.index
+        assert type(check_step(prev, nxt)) is int
     else:
         with pytest.raises(StepMismatch) as exc:
             check_step(prev, nxt)
@@ -162,6 +158,13 @@ def test_verify_run_two_records():
     assert cert.all_steps_descend
     assert len(cert.evidence) == 1
     assert cert.k == 1
+
+
+def test_verify_run_takes_a_seed_with_list_digits():
+    records = weak_records(8, 5)
+    seed = records[0]
+    records[0] = StepRecord(seed.index, seed.base, seed.value, list(seed.digits), seed.rendered)
+    assert verify_run(records).evidence == (0, 2, 2, 1)
 
 
 def test_verify_run_single_record_is_vacuous():
@@ -198,6 +201,27 @@ def test_verify_run_flags_tampered_value():
     with pytest.raises(StepMismatch) as excinfo:
         verify_run(records)
     assert excinfo.value.index == 30
+
+
+def first_differences(records):
+    """The pivot of each step, worked out here: left-pad the successor, find the first change."""
+    pivots = []
+    for prev, nxt in zip(records, records[1:]):
+        padded = [0] * (len(prev.digits) - len(nxt.digits)) + list(nxt.digits)
+        pivots.append(next(i for i, (a, b) in enumerate(zip(padded, prev.digits)) if a != b))
+    return tuple(pivots)
+
+
+@pytest.mark.parametrize(
+    "start, start_base",
+    [(start, 2) for start in range(1, 16)] + [(from_digits([1] * (CUT + 3), 5), 5)],
+    ids=[f"start-{start}" for start in range(1, 16)] + ["wider-than-CUT"],
+)
+def test_certificate_evidence_is_one_pivot_per_step(start, start_base):
+    records = weak_records(start, 300, start_base)
+    cert = verify_run(records)
+    assert cert.evidence == first_differences(records)
+    assert len(cert.evidence) == len(records) - 1
 
 
 def test_certificate_completeness_over_generated_runs():
