@@ -199,8 +199,20 @@ def render(digits: Sequence[int], base: int) -> str:
 
     Digits below ten print as single characters, larger digits are wrapped
     in parentheses, and a zero-valued (empty) sequence prints as ``0``.
+    Only the base is checked: a digit outside ``[0, base)`` prints the
+    same way, so ``render((5,), 2)`` is ``5_2``.
     """
     _check_base(base)
+    # With at least as many digits as the base, formatting each digit value
+    # of the base once and looking the digits up is cheaper than formatting
+    # every digit; a base wider than the numeral never builds the table. A
+    # digit outside [0, base) has no entry and takes the per-digit path.
+    if base <= len(digits):
+        table = {d: str(d) if d < 10 else f"({d})" for d in range(base)}
+        try:
+            return f"{''.join(map(table.__getitem__, digits))}_{base}"
+        except KeyError:
+            pass
     body = "".join([str(d) if d < 10 else f"({d})" for d in digits]) or "0"
     return f"{body}_{base}"
 

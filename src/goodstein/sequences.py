@@ -11,8 +11,9 @@ same borrow applies. Each record's digits come out of that borrow (or, for
 the seed, out of ``to_digits``) canonical and in range, so the loop calls
 the unchecked kernels behind ``decrement_in_base`` and ``from_digits``
 and checks no digit twice.
-``weak_step``, ``decreasing_step`` and ``strong_step`` are the
-value-domain references.
+``weak_step`` and ``strong_step`` are ``to_digits`` followed by the run's
+own transition, so weak and strong runs each have exactly one; the slow
+value-domain references the runs are checked against live in the tests.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterator, Optional
 
 from .errors import DomainError, InvalidBase, MagnitudeCapExceeded
 from .hereditary import HereditaryTree, build_hereditary
-from .numerals import Digits, _borrow, _evaluate, from_digits, render, to_digits
+from .numerals import Digits, _borrow, _evaluate, render, to_digits
 
 DEFAULT_MAX_STEPS = 10**6
 DEFAULT_MAX_BITS = 10**6
@@ -101,19 +102,18 @@ def weak_step(value: int, base: int) -> int:
     """Reread the base-``base`` digits of ``value`` in ``base + 1``, minus one."""
     if value == 0:
         raise DomainError("weak step undefined at zero: the sequence has terminated")
-    return from_digits(to_digits(value, base), base + 1) - 1
+    return _evaluate(_borrow(to_digits(value, base), base + 1), base + 1)
 
 
 def strong_step(value: int, base: int, max_bits: int = DEFAULT_MAX_BITS) -> int:
     """Reread ``value``'s hereditary base-``base`` form in ``base + 1``, minus one.
 
-    Raises MagnitudeCapExceeded rather than materializing any intermediate
-    wider than ``max_bits`` bits; the bumped value is otherwise exact.
+    Raises MagnitudeCapExceeded exactly when the bumped value, before the
+    minus one, needs more than ``max_bits`` bits.
     """
     if value == 0:
         raise DomainError("strong step undefined at zero: the sequence has terminated")
-    tree = build_hereditary(value, base)
-    return _eval_capped(tree, base + 1, max_bits) - 1
+    return _strong_successor(to_digits(value, base), base, max_bits)[1]
 
 
 def decreasing_step(value: int) -> int:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goodstein.errors import DigitOutOfRange, DomainError, InvalidBase, Underflow
@@ -295,6 +295,32 @@ def test_digit_sequences_carry_no_base():
 )
 def test_render(digits, base, expected):
     assert render(digits, base) == expected
+
+
+@st.composite
+def numerals_around_the_table_gate(draw):
+    """A base and digits either side of ``render``'s table gate.
+
+    In-range digits at least as many as the base take the table; shorter
+    sequences, and any with a negative or too-large digit, are formatted
+    digit by digit.
+    """
+    base = draw(st.integers(2, 30))
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(0, base - 1), min_size=base, max_size=3 * base)), base
+    return draw(st.lists(st.integers(-12, base + 12), max_size=3 * base)), base
+
+
+@given(numeral=numerals_around_the_table_gate())
+@example(numeral=([1, 0], 2))
+@example(numeral=([5], 2))
+@example(numeral=([0, 1, 2], 2))
+@example(numeral=([1, -1, 0], 2))
+@example(numeral=(list(range(12)) * 2, 12))
+def test_render_matches_per_digit_formatting(numeral):
+    digits, base = numeral
+    body = "".join([str(d) if d < 10 else f"({d})" for d in digits]) or "0"
+    assert render(digits, base) == render(tuple(digits), base) == f"{body}_{base}"
 
 
 # --- power_predecessor ----------------------------------------------------------------

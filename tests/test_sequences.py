@@ -1,10 +1,11 @@
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goodstein.errors import DomainError, InvalidBase, MagnitudeCapExceeded
+from goodstein.hereditary import build_hereditary
 from goodstein.numerals import render, to_digits
 from goodstein.sequences import (
     RunConfig,
@@ -38,6 +39,37 @@ def hereditary_bump_oracle(value, old, new):
             total += digit * new ** hereditary_bump_oracle(position, old, new)
         position += 1
     return total
+
+
+def eval_capped_reference(tree, base, max_bits):
+    """Evaluate a hereditary tree term by term, refusing to grow past ``max_bits`` bits."""
+    total = 0
+    for exponent_tree, coefficient in tree:
+        exponent = eval_capped_reference(exponent_tree, base, max_bits)
+        if exponent_tree and exponent >= max_bits:
+            raise MagnitudeCapExceeded(exponent + 1)
+        total += coefficient * base**exponent
+        if total.bit_length() > max_bits:
+            raise MagnitudeCapExceeded(total.bit_length())
+    return total
+
+
+def strong_step_reference(value, base, max_bits):
+    """Slow strong step: the whole hereditary tree of ``value``, summed in ``base + 1``, minus one.
+
+    Each nonzero digit costs one full-width power and one add; ``strong_step``
+    moves digits instead, so the two share no arithmetic beyond ``build_hereditary``.
+    """
+    return eval_capped_reference(build_hereditary(value, base), base + 1, max_bits) - 1
+
+
+def cap_verdict(step, value, base, max_bits):
+    """The step's value, or None where it raises MagnitudeCapExceeded."""
+    try:
+        return step(value, base, max_bits)
+    except MagnitudeCapExceeded as exc:
+        assert exc.bit_length > max_bits
+        return None
 
 
 # --- single steps ------------------------------------------------------------
@@ -75,6 +107,24 @@ def test_strong_step_matches_oracle():
         for value in range(1, 300):
             expected = hereditary_bump_oracle(value, base, base + 1) - 1
             assert strong_step(value, base) == expected
+
+
+@settings(deadline=None)
+@given(value=st.integers(1, 10**6), base=st.integers(2, 20), max_bits=st.integers(1, 10**4))
+@example(value=126, base=55, max_bits=7)
+@example(value=126, base=55, max_bits=8)
+def test_strong_step_matches_slow_reference(value, base, max_bits):
+    # same value and same cap verdict, at the drawn cap and, where the
+    # bumped value is not astronomically wide, on both sides of its width
+    caps = {max_bits}
+    successor = cap_verdict(strong_step_reference, value, base, 10**5)
+    if successor is not None:
+        bumped_bits = (successor + 1).bit_length()
+        caps |= {bumped_bits, max(bumped_bits - 1, 1)}
+    for cap in caps:
+        assert cap_verdict(strong_step, value, base, cap) == cap_verdict(
+            strong_step_reference, value, base, cap
+        )
 
 
 def test_strong_step_domain():
@@ -202,7 +252,10 @@ def test_strong_run_from_16_hits_magnitude_cap():
 REFERENCE_STEPS = {
     RunKind.DECREASING: lambda value, base, max_bits: (decreasing_step(value), base),
     RunKind.WEAK: lambda value, base, max_bits: (weak_step(value, base), base + 1),
-    RunKind.STRONG: lambda value, base, max_bits: (strong_step(value, base, max_bits), base + 1),
+    RunKind.STRONG: lambda value, base, max_bits: (
+        strong_step_reference(value, base, max_bits),
+        base + 1,
+    ),
 }
 
 
@@ -247,12 +300,12 @@ def test_record_consistency_along_runs(kind, start, base, max_steps, max_bits):
 @settings(deadline=None)
 @given(value=st.integers(1, 10**6 - 1), base=st.integers(2, 20))
 def test_tree_domain_strong_step_matches_strong_step(value, base):
-    # run steps from the record's digits through the hereditary tree;
-    # strong_step goes through the value
+    # run moves the record's digits to their bumped positions; the slow
+    # reference sums the value's whole hereditary tree
     max_bits = 10**4
     records, outcome = run_collected(RunKind.STRONG, RunConfig(value, base, 2, max_bits))
     try:
-        expected = strong_step(value, base, max_bits)
+        expected = strong_step_reference(value, base, max_bits)
     except MagnitudeCapExceeded:
         assert outcome.status is RunStatus.MAGNITUDE_CAP_REACHED
         assert records == [outcome.final]
@@ -277,7 +330,7 @@ def test_magnitude_cap_fires_where_strong_step_refuses(start, base, max_bits):
             status = RunStatus.STEP_CAP_REACHED
             break
         try:
-            values.append(strong_step(values[-1], base + len(values) - 1, max_bits))
+            values.append(strong_step_reference(values[-1], base + len(values) - 1, max_bits))
         except MagnitudeCapExceeded:
             status = RunStatus.MAGNITUDE_CAP_REACHED
             break
