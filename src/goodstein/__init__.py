@@ -3,7 +3,7 @@
 The package splits into five parts: ``numerals`` (base-independent digit
 sequences and radix arithmetic), ``hereditary`` (hereditary base notation
 as base-free trees), ``sequences`` (decreasing, weak, and strong runs as
-record streams), ``descent`` (lexicographic descent certificates), and
+record streams), ``descent`` (descent certificates for every kind), and
 ``cli`` (the command line front end).
 """
 

@@ -1,13 +1,13 @@
 """Command line front end.
 
 Subcommands: ``convert`` (digits <-> value), ``hereditary`` (linear or DOT
-rendering), ``run`` (stream a sequence), ``verify`` (recheck a JSONL weak
-trace and emit a descent certificate).
+rendering), ``run`` (stream a sequence, optionally certified), ``verify``
+(recheck a JSONL weak trace and emit a descent certificate).
 
 Exit codes, all set in ``main``: 0 success, 2 bad arguments, malformed or
 unreadable input, or an I/O error, 3 run stopped by a cap, 4 a trace
-record that is not a descending weak step. Values travel as decimal
-strings; JSON numbers are used only for record indices.
+record that is not a descending step of its run's kind. Values travel as
+decimal strings; JSON numbers are used only for record indices.
 """
 
 from __future__ import annotations
@@ -151,11 +151,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
-    if args.verify and args.kind != "weak":
-        raise GoodsteinError("--verify applies to weak runs only")
     if args.start < 1:
         raise GoodsteinError(f"--start must be >= 1, got {args.start}")
-    cfg = RunConfig(args.start, args.base, args.max_steps, args.max_bits)
+    cfg, kind = RunConfig(args.start, args.base, args.max_steps, args.max_bits), RunKind(args.kind)
 
     if args.format == "csv":
         print("index,base,value,rendered")
@@ -164,12 +162,12 @@ def _run(args: argparse.Namespace) -> int:
 
     def emitting() -> Iterator[StepRecord]:
         nonlocal final
-        for final in run(RunKind(args.kind), cfg):
+        for final in run(kind, cfg):
             _emit_record(final, args.format, sys.stdout)
             yield final
 
     records = emitting()
-    cert = verify_run(records) if args.verify else None
+    cert = verify_run(records, kind) if args.verify else None
     for _ in records:  # drains an unverified run; verify_run has drained a verified one
         pass
     outcome = RunOutcome.of(final, cfg)
@@ -302,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verify",
         action="store_true",
-        help="append a descent certificate (weak runs only)",
+        help="append a descent certificate checked in the order of the run's kind",
     )
     p.set_defaults(func=cmd_run)
 

@@ -1,21 +1,21 @@
-"""Mechanical descent checking for weak Goodstein runs.
+"""Mechanical descent checking for Goodstein runs of every kind.
 
-A weak step rereads the digit sequence in the next base and subtracts one,
-so the digit sequence drops strictly in the length-first lexicographic
-order. Checking that one fact on every adjacent pair of records turns the
-termination argument into a machine-checkable certificate: the
-zero-padded digit tuple is a ranking function into the well-founded
-lexicographic order on fixed-arity tuples of naturals, and it strictly
-decreases each step.
+A weak or decreasing step subtracts one from a digit sequence reread in
+the next or the same base, so the zero-padded digit tuple strictly drops
+in the well-founded lexicographic order on fixed-arity tuples of naturals.
+A strong step strictly lowers the hereditary tree, read as a Cantor normal
+form below epsilon-zero, in tuple order (Goodstein, JSL 9, 1944; Kirby &
+Paris, Bull. LMS 14, 1982). Checking the kind's fact on every adjacent
+pair of records turns the termination argument into a machine-checkable
+certificate.
 
-The verifier never assumes the property it checks. Every record, the seed
-included, is checked once: canonical digits that spell ``value`` in ``base``
-and match ``rendered``. Each successor's digits must be ``decrement_in_base``
-of its predecessor's in the new base, the transition ``sequences.run`` takes,
-and, zero-padded to the predecessor's length, must be a smaller tuple. The
-borrow implies that descent, but it is checked explicitly; it bounds each
-successor's length by its predecessor's, so no record outgrows the seed's
-arity. A certificate keeps the seed, its arity and one pivot per step.
+The verifier never assumes the property it checks. The seed is checked on
+its own: canonical digits that spell ``value`` in ``base`` and match
+``rendered``. Every later record must equal the kind's successor of its
+predecessor, the one ``sequences.run`` takes, and then descend in the
+kind's order; for weak and decreasing runs that bounds every record's
+length by the seed's. A certificate keeps the seed, its digit count and
+one pivot per step.
 """
 
 from __future__ import annotations
@@ -23,17 +23,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ArityExceeded, DomainError, EmptyRun, StepMismatch
-from .numerals import decrement_in_base, from_digits, render
-from .sequences import StepRecord
+from .errors import ArityExceeded, DomainError, EmptyRun, MagnitudeCapExceeded, StepMismatch
+from .hereditary import build_from_digits
+from .numerals import _check_digits, from_digits, render
+from .sequences import _SUCCESSORS, RunKind, StepRecord
 
 
 @dataclass(frozen=True)
 class DescentCertificate:
     """Per-step descent evidence for a whole run.
 
-    ``k`` is the seed record's digit count: the arity of the ranking
-    function. ``evidence[i]`` is the pivot of the step into record
+    ``k`` is the seed record's digit count: the ranking arity of a weak or
+    decreasing run, and no arity of a strong one, whose records grow.
+    ``evidence[i]`` is the pivot of the step into record
     ``start.index + i + 1``, as ``check_step`` returns it.
     ``all_steps_descend`` is always True, since ``verify_run`` raises on
     any trace with a step that does not descend.
@@ -63,40 +65,57 @@ def _check_record(record: StepRecord) -> None:
         raise StepMismatch(record.index, f"rendered {record.rendered!r} does not match the digits")
 
 
-def check_step(prev: StepRecord, nxt: StepRecord) -> int:
-    """Score one adjacent pair of a weak run whose ``prev`` is already checked.
+def check_step(prev: StepRecord, nxt: StepRecord, kind: RunKind = RunKind.WEAK) -> int:
+    """Score one adjacent pair of a ``kind`` run whose ``prev`` is already checked.
 
-    Raises StepMismatch unless ``nxt`` is self-consistent and follows by a
-    genuine, descending weak transition (index and base advance by one,
-    digits are ``prev``'s decremented in the new base and come before them
-    in length-first lexicographic order); a failing step is never scored.
-    Returns the pivot: the first position where ``nxt.digits``, left-padded
-    with zeros to ``prev``'s length, holds a smaller digit than ``prev``.
+    Raises StepMismatch unless ``nxt`` is the genuine, descending ``kind``
+    successor of ``prev``. The first failing check decides, in this order:
+    the index advances; ``prev`` is nonzero; ``nxt``'s value and digits, then
+    base, then rendering are the successor's, built under a cap of
+    ``nxt.value + 1``'s bits, so never wider than claimed; the step descends.
+    Returns the first position where the zero-padded digits (weak and
+    decreasing) or the top-level terms of the hereditary trees (strong) differ.
     """
-    _check_record(nxt)
     if nxt.index != prev.index + 1:
         raise StepMismatch(nxt.index, f"record index {nxt.index} does not follow {prev.index}")
-    if nxt.base != prev.base + 1:
-        raise StepMismatch(nxt.index, f"base {nxt.base} does not follow base {prev.base}")
-    if prev.value == 0:
+    _check_digits(prev.digits, prev.base)
+    if not any(prev.digits):
         raise StepMismatch(nxt.index, "predecessor value is already zero")
-    if nxt.digits != decrement_in_base(prev.digits, nxt.base):
-        raise StepMismatch(nxt.index, f"value {nxt.value} is not a weak successor of {prev.value}")
-    # prev is canonical, so for a successor no longer than it, length-first
-    # lexicographic order is tuple order on the zero-padded successor.
-    # tuple() because a caller's seed may hold its digits in any sequence.
-    shortfall = len(prev.digits) - len(nxt.digits)
-    padded = (0,) * shortfall + nxt.digits
-    if shortfall < 0 or padded >= tuple(prev.digits):
-        raise StepMismatch(nxt.index, "digits do not descend in length-first lexicographic order")
+    cap = (nxt.value + 1).bit_length()
+    try:
+        base, digits, value = _SUCCESSORS[kind](prev.digits, prev.base, cap)
+    except MagnitudeCapExceeded:  # the successor is wider than nxt.value
+        base = digits = value = None
+    if nxt.value != value and nxt.digits != digits:
+        raise StepMismatch(
+            nxt.index, f"value {nxt.value} is not a {kind.value} successor of {prev.value}"
+        )
+    if nxt.value != value or nxt.digits != digits:
+        raise StepMismatch(
+            nxt.index, f"digits {list(nxt.digits)} do not spell value {nxt.value} in base {base}"
+        )
+    if nxt.base != base:
+        raise StepMismatch(nxt.index, f"base {nxt.base} does not follow base {prev.base}")
+    if nxt.rendered != render(digits, base):
+        raise StepMismatch(nxt.index, f"rendered {nxt.rendered!r} does not match the digits")
+    if kind is RunKind.STRONG:
+        before, after = build_from_digits(prev.digits, prev.base), build_from_digits(digits, base)
+        order = "hereditary trees do not descend in Cantor normal form order"
+    else:
+        # zero-padded to one width, canonical digits compare length-first as tuples
+        shortfall = len(prev.digits) - len(digits)
+        before, after = (0,) * -shortfall + tuple(prev.digits), (0,) * shortfall + digits
+        order = "digits do not descend in length-first lexicographic order"
+    if after >= before:
+        raise StepMismatch(nxt.index, order)
     pivot = 0
-    while padded[pivot] == prev.digits[pivot]:
+    while pivot < len(after) and after[pivot] == before[pivot]:
         pivot += 1
     return pivot
 
 
-def verify_run(records: Iterable[StepRecord]) -> DescentCertificate:
-    """Check every record and every adjacent pair of a weak-run trace.
+def verify_run(records: Iterable[StepRecord], kind: RunKind = RunKind.WEAK) -> DescentCertificate:
+    """Check every record and every adjacent pair of a ``kind`` run's trace.
 
     Consumes the record stream once and checks each record once, the seed
     included. Raises StepMismatch at the first record that fails a check,
@@ -111,7 +130,7 @@ def verify_run(records: Iterable[StepRecord]) -> DescentCertificate:
     evidence: list[int] = []
     prev = first
     for record in stream:
-        evidence.append(check_step(prev, record))
+        evidence.append(check_step(prev, record, kind))
         prev = record
     return DescentCertificate(start=first, k=len(first.digits), evidence=tuple(evidence))
 

@@ -53,7 +53,7 @@ class MagnitudeCapExceeded(GoodsteinError):
 
 
 class StepMismatch(GoodsteinError):
-    """Two adjacent trace records are not a genuine, descending weak transition."""
+    """Two adjacent trace records are not a genuine, descending step of their run's kind."""
 
     def __init__(self, index: int, reason: str):
         super().__init__(f"step {index}: {reason}")

@@ -2,28 +2,28 @@
 
 All three families share one driver: emit the seed record, then step
 from each record's digits until the value hits zero or a cap fires; only
-the seed converts a value to digits. Decreasing and weak runs share one
-transition, ``decrement_in_base(digits, next_base)``. The strong step
-rewrites the digit positions in hereditary notation first, which is why it
-explodes and needs a magnitude cap on top of the step cap: each coefficient
-moves to its position's hereditary form evaluated in the new base, then the
-same borrow applies. Each record's digits come out of that borrow (or, for
-the seed, out of ``to_digits``) canonical and in range, so the loop calls
-the unchecked kernels behind ``decrement_in_base`` and ``from_digits``
-and checks no digit twice.
-``weak_step`` and ``strong_step`` are ``to_digits`` followed by the run's
-own transition, so weak and strong runs each have exactly one; the slow
-value-domain references the runs are checked against live in the tests.
+the seed converts a value to digits. Each kind has one successor in
+``_SUCCESSORS``, which ``run`` steps with and ``descent.check_step`` checks
+against. Decreasing and weak runs borrow one in the same or the next base.
+The strong step rewrites the digit positions in hereditary notation first,
+which is why it explodes and needs a magnitude cap on top of the step cap:
+each coefficient moves to its position's hereditary form evaluated in the
+new base, then the same borrow applies. Each record's digits come out of
+that borrow (or, for the seed, out of ``to_digits``) canonical and in range,
+so the successors call the unchecked kernels behind ``decrement_in_base``
+and ``from_digits`` and check no digit twice. ``weak_step`` and
+``strong_step`` are ``to_digits`` followed by the run's own successor; the
+slow value-domain references the runs are checked against live in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import DomainError, InvalidBase, MagnitudeCapExceeded
-from .hereditary import HereditaryTree, build_hereditary
+from .hereditary import HereditaryTree, build_from_digits
 from .numerals import Digits, _borrow, _evaluate, render, to_digits
 
 DEFAULT_MAX_STEPS = 10**6
@@ -102,7 +102,7 @@ def weak_step(value: int, base: int) -> int:
     """Reread the base-``base`` digits of ``value`` in ``base + 1``, minus one."""
     if value == 0:
         raise DomainError("weak step undefined at zero: the sequence has terminated")
-    return _evaluate(_borrow(to_digits(value, base), base + 1), base + 1)
+    return _weak_successor(to_digits(value, base), base, 0)[2]
 
 
 def strong_step(value: int, base: int, max_bits: int = DEFAULT_MAX_BITS) -> int:
@@ -113,7 +113,7 @@ def strong_step(value: int, base: int, max_bits: int = DEFAULT_MAX_BITS) -> int:
     """
     if value == 0:
         raise DomainError("strong step undefined at zero: the sequence has terminated")
-    return _strong_successor(to_digits(value, base), base, max_bits)[1]
+    return _strong_successor(to_digits(value, base), base, max_bits)[2]
 
 
 def decreasing_step(value: int) -> int:
@@ -140,12 +140,12 @@ def _eval_capped(tree: HereditaryTree, base: int, max_bits: int) -> int:
     return total
 
 
-def _strong_successor(digits: Digits, base: int, max_bits: int) -> tuple[Digits, int]:
-    """Digits in ``base + 1`` and value of the strong step from ``digits`` in ``base``.
+def _strong_successor(digits: Digits, base: int, max_bits: int) -> tuple[int, Digits, int]:
+    """New base, digits and value of the strong step from ``digits`` in ``base``.
 
-    Each coefficient keeps its place: position ``p`` moves to ``p``'s
-    hereditary form evaluated at ``base + 1``. Minus one is the borrow
-    ``c*B**e - 1 = (c-1)*B**e + sum((B-1)*B**i for i < e)``. Raises
+    Each coefficient keeps its place: a term ``(e, c)`` of the hereditary
+    tree moves to position ``e`` evaluated at ``base + 1``. Minus one is the
+    borrow ``c*B**e - 1 = (c-1)*B**e + sum((B-1)*B**i for i < e)``. Raises
     MagnitudeCapExceeded exactly when the bumped value has more than
     ``max_bits`` bits. Positions are checked before any digit list is
     built: ``_eval_capped`` refuses a nested exponent at or above
@@ -153,21 +153,38 @@ def _strong_successor(digits: Digits, base: int, max_bits: int) -> tuple[Digits,
     refused here.
     """
     new_base = base + 1
-    top = len(digits) - 1
-    new_top = _eval_capped(build_hereditary(top, base), new_base, max_bits)
+    tree = build_from_digits(digits, base)
+    new_top = _eval_capped(tree[0][0], new_base, max_bits)
     if new_top * (new_base.bit_length() - 1) >= max_bits:
         raise MagnitudeCapExceeded(new_top * (new_base.bit_length() - 1) + 1)
     bumped = [0] * (new_top + 1)
-    bumped[0] = digits[0]
-    for position in range(top):
-        if digits[top - position]:
-            moved = _eval_capped(build_hereditary(position, base), new_base, max_bits)
-            bumped[new_top - moved] = digits[top - position]
+    for exponent, coefficient in tree:
+        bumped[new_top - _eval_capped(exponent, new_base, max_bits)] = coefficient
     successor = _borrow(bumped, new_base)
     value = _evaluate(successor, new_base)
     if (value + 1).bit_length() > max_bits:
         raise MagnitudeCapExceeded((value + 1).bit_length())
-    return successor, value
+    return new_base, successor, value
+
+
+def _decreasing_successor(digits: Digits, base: int, max_bits: int) -> tuple[int, Digits, int]:
+    """The countdown step: borrow one in ``base``; no cap applies."""
+    successor = _borrow(digits, base)
+    return base, successor, _evaluate(successor, base)
+
+
+def _weak_successor(digits: Digits, base: int, max_bits: int) -> tuple[int, Digits, int]:
+    """The weak step: reread ``digits`` in ``base + 1`` and count down there."""
+    successor = _borrow(digits, base + 1)
+    return base + 1, successor, _evaluate(successor, base + 1)
+
+
+# (digits, base, max_bits) -> (next_base, digits, value) of a nonzero record's successor
+_SUCCESSORS: dict[RunKind, Callable[[Digits, int, int], tuple[int, Digits, int]]] = {
+    RunKind.DECREASING: _decreasing_successor,
+    RunKind.WEAK: _weak_successor,
+    RunKind.STRONG: _strong_successor,
+}
 
 
 def _record(index: int, base: int, value: int, digits: Digits) -> StepRecord:
@@ -185,21 +202,17 @@ def run(kind: RunKind, cfg: RunConfig) -> Iterator[StepRecord]:
     Weak and strong runs use ``base = start_base + index``; decreasing
     runs keep ``start_base`` fixed.
     """
+    successor = _SUCCESSORS[kind]
     seed_digits = to_digits(cfg.start_value, cfg.start_base)
     record = _record(0, cfg.start_base, cfg.start_value, seed_digits)
     while True:
         yield record
         if _halt(record, cfg) is not None:
             return
-        base = record.base if kind is RunKind.DECREASING else record.base + 1
-        if kind is RunKind.STRONG:
-            try:
-                digits, value = _strong_successor(record.digits, record.base, cfg.max_bits)
-            except MagnitudeCapExceeded:
-                return
-        else:
-            digits = _borrow(record.digits, base)
-            value = _evaluate(digits, base)
+        try:
+            base, digits, value = successor(record.digits, record.base, cfg.max_bits)
+        except MagnitudeCapExceeded:
+            return
         record = _record(record.index + 1, base, value, digits)
 
 

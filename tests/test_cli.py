@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goodstein.cli import _no_int_str_limit, _read_trace, _record_from_json, _record_json, main
-from goodstein.sequences import StepRecord
+from goodstein.sequences import _SUCCESSORS, RunKind, StepRecord
 
 
 def run_cli(capsys, *argv):
@@ -245,10 +245,22 @@ def test_run_verify_jsonl_certificate(capsys):
     assert cert == {"k": 4, "verdict": "AllStepsDescend", "steps_checked": 9}
 
 
-def test_run_verify_rejected_for_strong(capsys):
-    code, _, err = run_cli(capsys, "run", "strong", "--start", "4", "--verify")
-    assert code == 2
-    assert "weak" in err
+def test_run_verify_strong_certifies_tree_descent(capsys):
+    code, out, err = run_cli(
+        capsys, "run", "strong", "--start", "16", "--max-bits", "200000",
+        "--format", "jsonl", "--verify",
+    )
+    assert code == 0
+    assert err == ""
+    lines = out.splitlines()
+    assert json.loads(lines[-2]) == {"status": "MagnitudeCapReached", "steps_emitted": 118}
+    assert lines[-1] == '{"k": 5, "verdict": "AllStepsDescend", "steps_checked": 117}'
+
+
+def test_run_verify_decreasing(capsys):
+    code, out, _ = run_cli(capsys, "run", "decreasing", "--start", "30", "--base", "3", "--verify")
+    assert code == 0
+    assert out.splitlines()[-1] == "# verdict=AllStepsDescend steps_checked=30 k=4"
 
 
 def test_run_strong_capped_exit(capsys):
@@ -329,8 +341,10 @@ def test_verify_flags_tampered_record(tmp_path, capsys, index, field, forged):
 
 
 def test_verify_rejects_a_step_that_does_not_descend(tmp_path, capsys, monkeypatch):
-    # with the borrow patched out, 1000_2 -> 1000_3 passes the transition check
-    monkeypatch.setattr("goodstein.descent.decrement_in_base", lambda digits, base: tuple(digits))
+    # with the borrow patched out, 1000_2 -> 1000_3 = 27 passes the transition check
+    monkeypatch.setitem(
+        _SUCCESSORS, RunKind.WEAK, lambda digits, base, max_bits: (base + 1, tuple(digits), 27)
+    )
     path = tmp_path / "flat.jsonl"
     digits = ["1", "0", "0", "0"]
     write_records(path, [

@@ -1,13 +1,16 @@
+import time
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from goodstein.descent import check_step, rank, verify_run
 from goodstein.errors import ArityExceeded, DigitOutOfRange, EmptyRun, StepMismatch
 from goodstein.numerals import CUT, Ordering, from_digits, lex_compare, render, to_digits
-from goodstein.sequences import RunConfig, RunKind, StepRecord, run, run_collected, weak_step
+from goodstein.sequences import (
+    _SUCCESSORS, RunConfig, RunKind, StepRecord, run, run_collected, weak_step
+)
 
 
 def make_record(index, base, value):
@@ -16,8 +19,18 @@ def make_record(index, base, value):
 
 
 def weak_records(start, steps, start_base=2):
-    records, _ = run_collected(RunKind.WEAK, RunConfig(start, start_base, max_steps=steps))
+    return kind_records(RunKind.WEAK, start, steps, start_base)
+
+
+def kind_records(kind, start, steps, start_base=2, max_bits=20000):
+    cfg = RunConfig(start, start_base, max_steps=steps, max_bits=max_bits)
+    records, _ = run_collected(kind, cfg)
     return records
+
+
+def unchanged_digits(digits, base, max_bits):
+    """A successor with the borrow left out: the same digits reread in the next base."""
+    return base + 1, tuple(digits), from_digits(digits, base + 1)
 
 
 # --- check_step ----------------------------------------------------------------
@@ -73,10 +86,48 @@ def test_check_step_rejects_terminated_predecessor():
 
 def test_check_step_rejects_a_step_that_does_not_descend(monkeypatch):
     # with the borrow patched out, 1000_2 -> 1000_3 passes the transition check
-    monkeypatch.setattr("goodstein.descent.decrement_in_base", lambda digits, base: tuple(digits))
+    monkeypatch.setitem(_SUCCESSORS, RunKind.WEAK, unchanged_digits)
     message = "digits do not descend in length-first lexicographic order"
     with pytest.raises(StepMismatch, match=message) as exc:
         check_step(make_record(0, 2, 8), make_record(1, 3, 27))
+    assert exc.value.index == 1
+
+
+def test_check_step_rejects_a_strong_step_that_does_not_descend(monkeypatch):
+    # the same patch on the strong successor: 11_2 -> 11_3 keeps the tree of b + 1
+    monkeypatch.setitem(_SUCCESSORS, RunKind.STRONG, unchanged_digits)
+    message = "hereditary trees do not descend in Cantor normal form order"
+    with pytest.raises(StepMismatch, match=message) as exc:
+        check_step(make_record(0, 2, 3), make_record(1, 3, 4), RunKind.STRONG)
+    assert exc.value.index == 1
+
+
+def test_check_step_rejects_a_forgery_of_a_huge_successor_fast(monkeypatch):
+    # 65536 = 2^(2^(2^2)); its strong successor 3^(3^(3^3)) - 1 has about 1.2e13 bits
+    strong, caps = _SUCCESSORS[RunKind.STRONG], []
+
+    def spy(digits, base, max_bits):
+        caps.append(max_bits)
+        return strong(digits, base, max_bits)
+
+    monkeypatch.setitem(_SUCCESSORS, RunKind.STRONG, spy)
+    forged = make_record(1, 3, 3 ** 27 - 1)
+    began = time.perf_counter()
+    with pytest.raises(StepMismatch, match="is not a strong successor") as exc:
+        check_step(make_record(0, 2, 65536), forged, RunKind.STRONG)
+    assert time.perf_counter() - began < 1
+    assert exc.value.index == 1
+    assert caps == [(3 ** 27).bit_length()]  # capped at the width the record claims
+
+
+@pytest.mark.parametrize(
+    "made, checked", [(RunKind.WEAK, RunKind.STRONG), (RunKind.STRONG, RunKind.WEAK)]
+)
+def test_check_step_rejects_a_trace_of_another_kind(made, checked):
+    # from 4 = 100_2 the weak step goes to 22_3 = 8 and the strong one to 222_3 = 26
+    records = kind_records(made, 4, 5)
+    with pytest.raises(StepMismatch, match=f"is not a {checked.value} successor") as exc:
+        verify_run(records, checked)
     assert exc.value.index == 1
 
 
@@ -115,24 +166,34 @@ FIELDS = ["none", "index", "base", "value", "digit", "leading zero", "rendered"]
 
 @settings(deadline=None, max_examples=300)
 @given(
+    kind=st.sampled_from(RunKind),
     width=st.sampled_from([1, 3, CUT, CUT + 1, 3 * CUT]),
     base=st.integers(2, 40),
     steps=st.integers(2, 6),
     field=st.sampled_from(FIELDS),
     data=st.data(),
 )
-def test_check_step_rejects_every_single_field_forgery(width, base, steps, field, data):
-    # seeds up to 3 * CUT digits wide, so the divide-and-conquer evaluation runs
-    digits = [data.draw(st.integers(1, base - 1), label="lead")]
-    digits += data.draw(st.lists(st.integers(0, base - 1), min_size=width - 1, max_size=width - 1))
-    records = weak_records(from_digits(digits, base), steps, base)
+def test_check_step_rejects_every_single_field_forgery(kind, width, base, steps, field, data):
+    if kind is RunKind.STRONG:
+        # small seeds, so that a few steps stay under the 20000-bit cap
+        base = base % 5 + 2
+        start = data.draw(st.integers(1, 300), label="start")
+    else:
+        # seeds up to 3 * CUT digits wide, so the divide-and-conquer evaluation runs
+        digits = [data.draw(st.integers(1, base - 1), label="lead")]
+        digits += data.draw(
+            st.lists(st.integers(0, base - 1), min_size=width - 1, max_size=width - 1)
+        )
+        start = from_digits(digits, base)
+    records = kind_records(kind, start, steps, base)
+    assume(len(records) > 1)
     at = data.draw(st.integers(1, len(records) - 1), label="at")
     prev, nxt = records[at - 1], forge(records[at], field, data)
     if nxt == records[at]:
-        assert type(check_step(prev, nxt)) is int
+        assert type(check_step(prev, nxt, kind)) is int
     else:
         with pytest.raises(StepMismatch) as exc:
-            check_step(prev, nxt)
+            check_step(prev, nxt, kind)
         assert exc.value.index == nxt.index
 
 
@@ -222,6 +283,28 @@ def test_certificate_evidence_is_one_pivot_per_step(start, start_base):
     cert = verify_run(records)
     assert cert.evidence == first_differences(records)
     assert len(cert.evidence) == len(records) - 1
+
+
+@pytest.mark.parametrize("start", range(1, 17))
+def test_strong_traces_verify(start):
+    records = kind_records(RunKind.STRONG, start, 200, max_bits=2000)
+    cert = verify_run(records, RunKind.STRONG)
+    assert cert.k == len(records[0].digits)
+    assert len(cert.evidence) == len(records) - 1
+
+
+def test_strong_evidence_is_the_first_differing_term():
+    # the trees go w+1 -> w -> 3 -> 2: the first step drops the units term
+    records = kind_records(RunKind.STRONG, 3, 10)
+    assert [r.rendered for r in records[:4]] == ["11_2", "10_3", "3_4", "2_5"]
+    assert verify_run(records, RunKind.STRONG).evidence[:3] == (1, 0, 0)
+
+
+def test_decreasing_traces_verify():
+    records = kind_records(RunKind.DECREASING, 30, 100, 3)
+    cert = verify_run(records, RunKind.DECREASING)
+    assert records[-1].value == 0 and records[-1].base == 3
+    assert cert.evidence == first_differences(records)
 
 
 def test_certificate_completeness_over_generated_runs():
