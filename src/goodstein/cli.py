@@ -8,6 +8,10 @@ Exit codes, all set in ``main``: 0 success, 2 bad arguments, malformed or
 unreadable input, or an I/O error, 3 run stopped by a cap, 4 a trace
 record that is not a descending step of its run's kind. Values travel as
 decimal strings; JSON numbers are used only for record indices.
+
+Every integer on the command line or in a trace, option values included,
+follows one decimal rule, ``-?[0-9]+``. Only ``main`` lifts CPython's
+int<->str limit: for argument parsing and for every subcommand but ``verify``.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, Optional, Sequence, TextIO
 
-from .descent import DescentCertificate, verify_run
+from .descent import verify_run
 from .errors import EmptyRun, GoodsteinError, StepMismatch
 from .hereditary import build_hereditary, render_tree_dot, render_tree_text
 from .numerals import from_digits, to_digits
@@ -43,6 +47,13 @@ def _decimal(field: object) -> int:
     raise ValueError(f"expected a decimal string, got {field!r}")
 
 
+def _int_arg(text: str) -> int:
+    try:
+        return _decimal(text)
+    except ValueError:  # in the words argparse uses for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_digit_tokens(text: str) -> tuple[int, ...]:
     digits = []
     for token in text.split():
@@ -58,8 +69,8 @@ def _no_int_str_limit() -> Iterator[None]:
     """Lift CPython's int<->str digit limit inside the block, then restore it.
 
     The limit (4300 decimal digits, about 14k bits) guards parsing of
-    untrusted input; ``verify`` keeps it. ``run`` and ``convert`` print
-    values far past it, and ``convert`` and ``hereditary`` parse them.
+    untrusted input. ``main`` enters this block around argument parsing and
+    every subcommand but ``verify``, which keeps the limit for its traces.
     """
     limit = getattr(sys, "get_int_max_str_digits", None)
     if limit is None:
@@ -74,21 +85,18 @@ def _no_int_str_limit() -> Iterator[None]:
 
 
 def _parse_value(text: str) -> int:
-    # Parsed here, not by argparse's type=int, so that values of any width parse.
-    with _no_int_str_limit():
-        try:
-            return _decimal(text)
-        except ValueError:
-            raise GoodsteinError(f"VALUE must be an integer, got {text!r}") from None
+    try:
+        return _decimal(text)
+    except ValueError:
+        raise GoodsteinError(f"VALUE must be an integer, got {text!r}") from None
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    with _no_int_str_limit():
-        if args.to_digits is not None:
-            digits = to_digits(_parse_value(args.to_digits), args.base)
-            print(" ".join(str(d) for d in digits) if digits else "0")
-        else:
-            print(from_digits(_parse_digit_tokens(args.to_value), args.base))
+    if args.to_digits is not None:
+        digits = to_digits(_parse_value(args.to_digits), args.base)
+        print(" ".join(str(d) for d in digits) if digits else "0")
+    else:
+        print(from_digits(_parse_digit_tokens(args.to_value), args.base))
     return 0
 
 
@@ -109,16 +117,6 @@ def _record_json(record: StepRecord) -> str:
     )
 
 
-def _emit_record(record: StepRecord, fmt: str, out: TextIO) -> None:
-    if fmt == "jsonl":
-        line = _record_json(record)
-    elif fmt == "csv":
-        line = f"{record.index},{record.base},{record.value},{record.rendered}"
-    else:
-        line = f"{record.index} base={record.base} value={record.value} {record.rendered}"
-    out.write(line + "\n")
-
-
 def _summary(status: RunStatus, steps_emitted: int) -> dict:
     return {"status": status.value, "steps_emitted": steps_emitted}
 
@@ -127,33 +125,20 @@ def _certificate(k: int, steps_checked: int) -> dict:
     return {"k": k, "verdict": "AllStepsDescend", "steps_checked": steps_checked}
 
 
-def _emit_summary(outcome: RunOutcome, fmt: str, out: TextIO) -> None:
-    if fmt == "jsonl":
-        print(json.dumps(_summary(outcome.status, outcome.steps_emitted)), file=out)
-    else:
-        print(f"# status={outcome.status.value} steps={outcome.steps_emitted}", file=out)
-
-
-def _certificate_json(cert: DescentCertificate) -> str:
-    return json.dumps(_certificate(cert.k, len(cert.evidence)))
-
-
-def _emit_certificate(cert: DescentCertificate, fmt: str, out: TextIO) -> None:
-    if fmt == "jsonl":
-        print(_certificate_json(cert), file=out)
-        return
-    print(f"# verdict=AllStepsDescend steps_checked={len(cert.evidence)} k={cert.k}", file=out)
+def _print_trailer(obj: dict, fmt: str, text: str = "") -> None:
+    # a run summary or certificate: a JSON line in a jsonl trace, else a "#" comment
+    print(json.dumps(obj) if fmt == "jsonl" else f"# {text}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    with _no_int_str_limit():
-        return _run(args)
-
-
-def _run(args: argparse.Namespace) -> int:
     if args.start < 1:
         raise GoodsteinError(f"--start must be >= 1, got {args.start}")
     cfg, kind = RunConfig(args.start, args.base, args.max_steps, args.max_bits), RunKind(args.kind)
+    line = {
+        "jsonl": _record_json,
+        "csv": lambda r: f"{r.index},{r.base},{r.value},{r.rendered}",
+        "human": lambda r: f"{r.index} base={r.base} value={r.value} {r.rendered}",
+    }[args.format]
 
     if args.format == "csv":
         print("index,base,value,rendered")
@@ -163,7 +148,7 @@ def _run(args: argparse.Namespace) -> int:
     def emitting() -> Iterator[StepRecord]:
         nonlocal final
         for final in run(kind, cfg):
-            _emit_record(final, args.format, sys.stdout)
+            sys.stdout.write(line(final) + "\n")
             yield final
 
     records = emitting()
@@ -171,10 +156,13 @@ def _run(args: argparse.Namespace) -> int:
     for _ in records:  # drains an unverified run; verify_run has drained a verified one
         pass
     outcome = RunOutcome.of(final, cfg)
-    _emit_summary(outcome, args.format, sys.stdout)
+    status, steps = outcome.status, outcome.steps_emitted
+    _print_trailer(_summary(status, steps), args.format, f"status={status.value} steps={steps}")
     if cert is None:
-        return 0 if outcome.status is RunStatus.TERMINATED_AT_ZERO else 3
-    _emit_certificate(cert, args.format, sys.stdout)
+        return 0 if status is RunStatus.TERMINATED_AT_ZERO else 3
+    checked = len(cert.evidence)
+    text = f"verdict=AllStepsDescend steps_checked={checked} k={cert.k}"
+    _print_trailer(_certificate(cert.k, checked), args.format, text)
     return 0
 
 
@@ -255,12 +243,10 @@ def _read_trace(handle: TextIO) -> Iterator[StepRecord]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     # Each record is checked as it is read: the first problem in file order decides.
-    if args.path == "-":
-        cert = verify_run(_read_trace(sys.stdin))
-    else:
-        with open(args.path, encoding="utf-8") as handle:
-            cert = verify_run(_read_trace(handle))
-    print(_certificate_json(cert))
+    stdin = args.path == "-"
+    with contextlib.nullcontext(sys.stdin) if stdin else open(args.path, encoding="utf-8") as trace:
+        cert = verify_run(_read_trace(trace))
+    _print_trailer(_certificate(cert.k, len(cert.evidence)), "jsonl")
     return 0
 
 
@@ -279,23 +265,23 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIGITS",
         help="evaluate space-separated digits, most significant first",
     )
-    p.add_argument("--base", type=int, required=True)
+    p.add_argument("--base", type=_int_arg, required=True)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("hereditary", help="render a value in hereditary base notation")
     p.add_argument("value", metavar="VALUE")
-    p.add_argument("--base", type=int, required=True)
+    p.add_argument("--base", type=_int_arg, required=True)
     p.add_argument("--render", choices=("text", "dot"), default="text")
     p.set_defaults(func=cmd_hereditary)
 
     p = sub.add_parser("run", help="stream a sequence as records plus a summary")
     p.add_argument("kind", choices=("decreasing", "weak", "strong"))
-    p.add_argument("--start", type=int, required=True)
+    p.add_argument("--start", type=_int_arg, required=True)
     p.add_argument(
-        "--base", type=int, default=2, help="start base (the fixed base for decreasing runs)"
+        "--base", type=_int_arg, default=2, help="start base (the fixed base for decreasing runs)"
     )
-    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
-    p.add_argument("--max-bits", type=int, default=DEFAULT_MAX_BITS)
+    p.add_argument("--max-steps", type=_int_arg, default=DEFAULT_MAX_STEPS)
+    p.add_argument("--max-bits", type=_int_arg, default=DEFAULT_MAX_BITS)
     p.add_argument("--format", choices=("human", "jsonl", "csv"), default="human")
     p.add_argument(
         "--verify",
@@ -323,12 +309,15 @@ def _settle_stdout() -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with _no_int_str_limit():
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        code = args.func(args)
-        print(end="", flush=True)  # a stdout write error surfaces here, not at exit
+        # verify parses untrusted traces, so it alone keeps CPython's int<->str limit
+        with contextlib.nullcontext() if args.command == "verify" else _no_int_str_limit():
+            code = args.func(args)
+            print(end="", flush=True)  # a stdout write error surfaces here, not at exit
         return code
     except StepMismatch as exc:
         code, message = 4, str(exc)

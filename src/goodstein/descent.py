@@ -21,6 +21,7 @@ one pivot per step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, pairwise
 from typing import Iterable, Sequence
 
 from .errors import ArityExceeded, DomainError, EmptyRun, MagnitudeCapExceeded, StepMismatch
@@ -127,12 +128,8 @@ def verify_run(records: Iterable[StepRecord], kind: RunKind = RunKind.WEAK) -> D
     if first is None:
         raise EmptyRun("a run holds at least its seed record")
     _check_record(first)
-    evidence: list[int] = []
-    prev = first
-    for record in stream:
-        evidence.append(check_step(prev, record, kind))
-        prev = record
-    return DescentCertificate(start=first, k=len(first.digits), evidence=tuple(evidence))
+    evidence = tuple(check_step(p, n, kind) for p, n in pairwise(chain((first,), stream)))
+    return DescentCertificate(start=first, k=len(first.digits), evidence=evidence)
 
 
 def rank(digits: Sequence[int], arity: int) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ decreases at every strong step.
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import compress, count
 from typing import Iterator
 
 from .errors import CoefficientOutOfRange, DomainError, InvalidBase
@@ -48,9 +48,7 @@ def build_hereditary(value: int, base: int) -> HereditaryTree:
 def build_from_digits(digits: Digits, base: int) -> HereditaryTree:
     """``build_hereditary`` from canonical digits; only the exponents are converted."""
     top = len(digits) - 1
-    return tuple(
-        (build_hereditary(top - i, base), digit) for i, digit in enumerate(digits) if digit
-    )
+    return tuple((build_hereditary(top - i, base), digits[i]) for i in compress(count(), digits))
 
 
 def eval_tree(tree: HereditaryTree, base: int) -> int:

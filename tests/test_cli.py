@@ -80,6 +80,30 @@ def test_cli_values_are_plain_ascii_decimals(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "spelling",
+    ["1_0", "+12", " 12", "\uff11\uff12", "\u0663", "abc"],
+    ids=["underscore", "plus-sign", "leading-space", "fullwidth", "arabic-indic", "not-a-number"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "weak", "--start"],
+        ["run", "weak", "--start", "5", "--base"],
+        ["run", "weak", "--start", "5", "--max-steps"],
+        ["run", "weak", "--start", "5", "--max-bits"],
+        ["convert", "--to-digits", "5", "--base"],
+        ["hereditary", "5", "--base"],
+    ],
+    ids=["run-start", "run-base", "run-max-steps", "run-max-bits", "convert-base", "hereditary-base"],
+)
+def test_integer_options_are_plain_ascii_decimals(capsys, argv, spelling):
+    # option values follow the VALUE rule, -?[0-9]+, in argparse's type=int wording
+    code, out, err = run_cli(capsys, *argv, spelling)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {argv[-1]}: invalid int value: {spelling!r}\n")
+
+
 # --- hereditary -----------------------------------------------------------------
 
 def test_hereditary_text(capsys):
@@ -677,6 +701,71 @@ def test_convert_and_hereditary_parse_values_past_the_int_str_limit():
     digits = goodstein("convert", "--to-digits", value, "--base", "7")
     assert goodstein("convert", "--to-value", digits, "--base", "7") == value
     assert goodstein("hereditary", value, "--base", "10").startswith("7.10^(")
+
+
+def test_run_takes_a_start_past_the_int_str_limit():
+    start = "9" * 5000
+    proc = subprocess.run(
+        [sys.executable, "-m", "goodstein", "run", "weak", "--start", start,
+         "--max-steps", "2", "--format", "jsonl"],
+        capture_output=True,
+        text=True,
+        env=cli_process_env(),
+        cwd=REPO_ROOT,
+    )
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert json.loads(proc.stdout.splitlines()[0])["value"] == start
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="needs CPython's int<->str limit"
+)
+def test_verify_keeps_the_int_str_limit(tmp_path):
+    # a trace is untrusted input: a decimal field past 4300 digits is not converted
+    seed = {"index": 0, "base": "2", "value": "9" * 5000, "digits": ["1"], "rendered": "1_2"}
+    path = tmp_path / "wide_seed.jsonl"
+    path.write_text(json.dumps(seed) + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "goodstein", "verify", str(path)],
+        capture_output=True,
+        text=True,
+        env=cli_process_env(),
+        cwd=REPO_ROOT,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: line 1: bad record")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="needs CPython's int<->str limit"
+)
+@pytest.mark.parametrize(
+    "argv, expected_code",
+    [
+        (["convert", "--to-digits", "25", "--base", "2"], 0),
+        (["convert", "--to-digits", "25", "--base", "1"], 2),
+        (["hereditary", "25", "--base", "2"], 0),
+        (["hereditary", "x", "--base", "2"], 2),
+        (["run", "weak", "--start", "1", "--verify"], 0),
+        (["run", "weak", "--start", "8", "--max-steps", "5"], 3),
+        (["run", "weak", "--start", "0"], 2),
+        (["run", "weak", "--start", "1_0"], 2),
+        (["run", "--help"], 0),
+        (["verify", "{trace}"], 0),
+        (["verify", "{missing}"], 2),
+    ],
+)
+def test_main_restores_the_int_str_limit(tmp_path, capsys, argv, expected_code):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(jsonl_trace(capsys, 8, 5))
+    argv = [a.format(trace=trace, missing=tmp_path / "missing.jsonl") for a in argv]
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)  # not the default, so a reset to 4300 shows
+    try:
+        code, _, _ = run_cli(capsys, *argv)
+        assert (code, sys.get_int_max_str_digits()) == (expected_code, 5000)
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_verify_reports_undecodable_trace(tmp_path):
