@@ -170,6 +170,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 _SUMMARY_KEYS = {"status", "steps_emitted"}
 _NON_RECORD_KEYS = (_SUMMARY_KEYS, {"k", "verdict", "steps_checked"})
 _RECORD_KEYS = {"index", "base", "value", "digits", "rendered"}
+_DECODER = json.JSONDecoder()
 
 
 def _record_from_json(obj: object) -> StepRecord:
@@ -178,13 +179,19 @@ def _record_from_json(obj: object) -> StepRecord:
     index, digits, rendered = obj["index"], obj["digits"], obj["rendered"]
     if type(index) is not int or not isinstance(digits, list) or not isinstance(rendered, str):
         raise ValueError("index must be an integer, digits a list, rendered a string")
-    record = StepRecord(
-        index=index,
-        base=_decimal(obj["base"]),
-        value=_decimal(obj["value"]),
-        digits=tuple(map(_decimal, digits)),
-        rendered=rendered,
-    )
+    # One pass over the joined text accepts fields that are all unsigned
+    # decimals, as every field of a genuine trace is. Any other record is
+    # read field by field with _decimal, which names the first field off the
+    # rule, in record order, or accepts a "-".
+    fields = [obj.get("base"), obj.get("value"), *digits]
+    try:
+        text = "".join(fields)
+    except TypeError:  # a field that is not a string
+        text = ""
+    if not (text.isascii() and text.isdigit() and all(fields)):
+        fields = [_decimal(obj["base"]), _decimal(obj["value"]), *map(_decimal, digits)]
+    base, value, *digits = map(int, fields)
+    record = StepRecord(index, base, value, tuple(digits), rendered)
     if len(obj) != len(_RECORD_KEYS):  # every record key is present by now
         raise ValueError(f"unexpected keys {sorted(obj.keys() - _RECORD_KEYS)}")
     return record
@@ -222,9 +229,11 @@ def _read_trace(handle: TextIO) -> Iterator[StepRecord]:
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj, end = _DECODER.raw_decode(line)
         except (ValueError, RecursionError):
-            raise GoodsteinError(f"line {lineno}: not valid JSON") from None
+            end = None
+        if end != len(line):  # the line is stripped: any text after the value is invalid
+            raise GoodsteinError(f"line {lineno}: not valid JSON")
         if isinstance(obj, dict) and obj.keys() in _NON_RECORD_KEYS:
             _check_trailer(obj, lineno, last, k, count)
             ended = True

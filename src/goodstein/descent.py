@@ -21,12 +21,13 @@ one pivot per step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, pairwise
-from typing import Iterable, Sequence
+from itertools import compress, count
+from operator import ne
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ArityExceeded, DomainError, EmptyRun, MagnitudeCapExceeded, StepMismatch
-from .hereditary import build_from_digits
-from .numerals import _check_digits, from_digits, render
+from .hereditary import HereditaryTree, build_from_digits
+from .numerals import CUT, Digits, _check_digits, from_digits, render
 from .sequences import _SUCCESSORS, RunKind, StepRecord
 
 
@@ -71,36 +72,57 @@ def check_step(prev: StepRecord, nxt: StepRecord, kind: RunKind = RunKind.WEAK) 
 
     Raises StepMismatch unless ``nxt`` is the genuine, descending ``kind``
     successor of ``prev``. The first failing check decides, in this order:
-    the index advances; ``prev`` is nonzero; ``nxt``'s value and digits, then
-    base, then rendering are the successor's, built under a cap of
-    ``nxt.value + 1``'s bits, so never wider than claimed; the step descends.
-    Returns the first position where the zero-padded digits (weak and
-    decreasing) or the top-level terms of the hereditary trees (strong) differ.
+    the index advances; ``prev``'s digits are in range (DigitOutOfRange) and
+    nonzero; ``nxt``'s value and digits, then base, then rendering are the
+    successor's, built under a cap of ``nxt.value + 1``'s bits, so never
+    wider than claimed; the step descends. Returns the first position where
+    the zero-padded digits (weak and decreasing) or the top-level terms of
+    the hereditary trees (strong) differ.
+    """
+    if nxt.index == prev.index + 1:  # else _check_pair reports the index first
+        _check_digits(prev.digits, prev.base)
+    return _check_pair(prev, nxt, kind, _SUCCESSORS[kind])[0]
+
+
+def _check_pair(
+    prev: StepRecord,
+    nxt: StepRecord,
+    kind: RunKind,
+    successor: Callable[[Digits, int, int], tuple[int, Digits, int]],
+    prev_tree: Optional[HereditaryTree] = None,
+) -> tuple[int, Optional[HereditaryTree]]:
+    """``check_step`` for a ``prev`` whose digits are in range, given ``kind``'s successor.
+
+    A strong pair may take ``prev``'s hereditary tree as ``prev_tree``, as the
+    pair before it returned it. Returns the pivot and ``nxt``'s tree (None
+    for weak and decreasing pairs).
     """
     if nxt.index != prev.index + 1:
         raise StepMismatch(nxt.index, f"record index {nxt.index} does not follow {prev.index}")
-    _check_digits(prev.digits, prev.base)
     if not any(prev.digits):
         raise StepMismatch(nxt.index, "predecessor value is already zero")
     cap = (nxt.value + 1).bit_length()
     try:
-        base, digits, value = _SUCCESSORS[kind](prev.digits, prev.base, cap)
+        base, digits, value = successor(prev.digits, prev.base, cap)
+        expected = (nxt.index, base, value, digits, render(digits, base))
     except MagnitudeCapExceeded:  # the successor is wider than nxt.value
-        base = digits = value = None
-    if nxt.value != value and nxt.digits != digits:
-        raise StepMismatch(
-            nxt.index, f"value {nxt.value} is not a {kind.value} successor of {prev.value}"
-        )
-    if nxt.value != value or nxt.digits != digits:
-        raise StepMismatch(
-            nxt.index, f"digits {list(nxt.digits)} do not spell value {nxt.value} in base {base}"
-        )
-    if nxt.base != base:
-        raise StepMismatch(nxt.index, f"base {nxt.base} does not follow base {prev.base}")
-    if nxt.rendered != render(digits, base):
-        raise StepMismatch(nxt.index, f"rendered {nxt.rendered!r} does not match the digits")
+        base = digits = value = expected = None
+    if nxt != expected:  # name the first field that differs
+        if nxt.value != value and nxt.digits != digits:
+            raise StepMismatch(
+                nxt.index, f"value {nxt.value} is not a {kind.value} successor of {prev.value}"
+            )
+        if nxt.value != value or nxt.digits != digits:
+            spelled = f"digits {list(nxt.digits)} do not spell value {nxt.value} in base {base}"
+            raise StepMismatch(nxt.index, spelled)
+        if nxt.base != base:
+            raise StepMismatch(nxt.index, f"base {nxt.base} does not follow base {prev.base}")
+        if nxt.rendered != render(digits, base):
+            raise StepMismatch(nxt.index, f"rendered {nxt.rendered!r} does not match the digits")
+    tree = None
     if kind is RunKind.STRONG:
-        before, after = build_from_digits(prev.digits, prev.base), build_from_digits(digits, base)
+        before = build_from_digits(prev.digits, prev.base) if prev_tree is None else prev_tree
+        after = tree = build_from_digits(digits, base)
         order = "hereditary trees do not descend in Cantor normal form order"
     else:
         # zero-padded to one width, canonical digits compare length-first as tuples
@@ -109,27 +131,34 @@ def check_step(prev: StepRecord, nxt: StepRecord, kind: RunKind = RunKind.WEAK) 
         order = "digits do not descend in length-first lexicographic order"
     if after >= before:
         raise StepMismatch(nxt.index, order)
+    if len(after) > CUT:  # a long scan runs in C; below CUT the loop costs less than the iterators
+        return next(compress(count(), map(ne, after, before)), len(after)), tree
     pivot = 0
     while pivot < len(after) and after[pivot] == before[pivot]:
         pivot += 1
-    return pivot
+    return pivot, tree
 
 
 def verify_run(records: Iterable[StepRecord], kind: RunKind = RunKind.WEAK) -> DescentCertificate:
     """Check every record and every adjacent pair of a ``kind`` run's trace.
 
-    Consumes the record stream once and checks each record once, the seed
-    included. Raises StepMismatch at the first record that fails a check,
-    so a returned certificate always says every step descends; it keeps
-    one pivot per pair.
+    Consumes the record stream once and checks each record once: the seed
+    on its own, every later one as the successor of the record before it,
+    whose digits are in range by then. Raises StepMismatch at the first
+    record that fails a check, so a returned certificate always says every
+    step descends; it keeps one pivot per pair.
     """
     stream = iter(records)
     first = next(stream, None)
     if first is None:
         raise EmptyRun("a run holds at least its seed record")
     _check_record(first)
-    evidence = tuple(check_step(p, n, kind) for p, n in pairwise(chain((first,), stream)))
-    return DescentCertificate(start=first, k=len(first.digits), evidence=evidence)
+    successor, prev, tree, evidence = _SUCCESSORS[kind], first, None, []
+    for nxt in stream:
+        pivot, tree = _check_pair(prev, nxt, kind, successor, tree)
+        evidence.append(pivot)
+        prev = nxt
+    return DescentCertificate(start=first, k=len(first.digits), evidence=tuple(evidence))
 
 
 def rank(digits: Sequence[int], arity: int) -> tuple[int, ...]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .errors import DomainError, InvalidBase, MagnitudeCapExceeded
 from .hereditary import HereditaryTree, build_from_digits
@@ -42,12 +42,12 @@ class RunStatus(Enum):
     MAGNITUDE_CAP_REACHED = "MagnitudeCapReached"
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One element of a generated sequence.
 
     ``digits`` is always ``to_digits(value, base)`` and ``rendered`` the
-    matching base-annotated numeral.
+    matching base-annotated numeral. A record is an immutable tuple of
+    these five fields, in this order.
     """
 
     index: int

@@ -535,6 +535,15 @@ def test_verify_reports_unparseable_line(tmp_path, capsys, text):
     assert err.startswith("error: line 1: ")
 
 
+@pytest.mark.parametrize("tail", [" x", " {}", "]", ' "rendered"', "\x00"])
+def test_verify_rejects_text_after_the_json_value(tmp_path, capsys, tail):
+    lines = jsonl_trace(capsys, 8, 5).splitlines()
+    lines[2] += tail
+    path = tmp_path / "tail.jsonl"
+    write_records(path, lines)
+    assert run_cli(capsys, "verify", str(path)) == (2, "", "error: line 3: not valid JSON\n")
+
+
 @pytest.mark.parametrize(
     "garbage_line, forged_index, expected_code, expected_err",
     [
@@ -626,6 +635,118 @@ def test_record_json_matches_json_dumps(index, base, value, digits, rendered):
             }
         )
         assert _record_json(record) == expected
+
+
+# --- the record field rule against a per-field reference --------------------------------
+
+def decimal_reference(field):
+    """The rule ``-?[0-9]+`` on one field, spelled out character by character."""
+    if isinstance(field, str):
+        unsigned = field[1:] if field.startswith("-") else field
+        if unsigned and all(c in "0123456789" for c in unsigned):
+            return int(field)
+    raise ValueError(f"expected a decimal string, got {field!r}")
+
+
+def record_reference(obj):
+    """``_record_from_json`` with every decimal field read on its own, in record order."""
+    if not isinstance(obj, dict):
+        raise ValueError("a record must be a JSON object")
+    index, digits, rendered = obj["index"], obj["digits"], obj["rendered"]
+    if type(index) is not int or not isinstance(digits, list) or not isinstance(rendered, str):
+        raise ValueError("index must be an integer, digits a list, rendered a string")
+    record = StepRecord(
+        index,
+        decimal_reference(obj["base"]),
+        decimal_reference(obj["value"]),
+        tuple(decimal_reference(digit) for digit in digits),
+        rendered,
+    )
+    keys = {"index", "base", "value", "digits", "rendered"}
+    if len(obj) != len(keys):
+        raise ValueError(f"unexpected keys {sorted(obj.keys() - keys)}")
+    return record
+
+
+def parse_outcome(parse, obj):
+    try:
+        record = parse(obj)
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+    return type(record), record
+
+
+# ASCII digits and a sign, and what int() reads beyond the rule: "+", "_", spaces,
+# fullwidth and Arabic-Indic digits; "²" passes str.isdigit() and fails int()
+FIELD_TEXT = st.text(alphabet="0123456789-+_ \uff11\uff12\u0663\u00b2", max_size=6)
+FIELD = st.one_of(
+    FIELD_TEXT,
+    st.from_regex(r"-?[0-9]{1,6}", fullmatch=True),
+    st.builds(
+        lambda sign, digit: sign + digit * 5000, st.sampled_from(["", "-"]), st.sampled_from("09")
+    ),
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=1), st.integers(), max_size=1),
+)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="needs CPython's int<->str limit"
+)
+@settings(deadline=None, max_examples=400)
+@given(
+    base=FIELD,
+    value=FIELD,
+    digits=st.lists(FIELD, max_size=4),
+    leave_out=st.sampled_from([None, "base", "value"]),
+)
+@example(base="3", value="26", digits=["2", "2", "2"], leave_out=None)
+@example(base="3", value="-26", digits=["2", "-0", "2"], leave_out=None)
+@example(base="3", value="\u00b2", digits=[], leave_out=None)
+@example(base="3", value="9" * 5000, digits=["0" * 5000], leave_out=None)
+@example(base="x", value="26", digits=[], leave_out="value")
+def test_record_fields_follow_the_per_field_rule(base, value, digits, leave_out):
+    obj = {"index": 1, "base": base, "value": value, "digits": digits, "rendered": "222_3"}
+    if leave_out:
+        del obj[leave_out]
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        expected = parse_outcome(record_reference, obj)
+        assert parse_outcome(_record_from_json, obj) == expected
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def escaped_layout(line):
+    """A trace line with sorted keys, no spaces and every character of ``rendered`` \\u-escaped."""
+    obj = json.loads(line)
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    if "rendered" not in obj:
+        return text
+    escaped = '"' + "".join(f"\\u{ord(c):04x}" for c in obj["rendered"]) + '"'
+    return text.replace(json.dumps(obj["rendered"]), escaped, 1)
+
+
+def test_verify_reads_any_json_layout_of_a_trace(tmp_path, capsys, monkeypatch):
+    trace = jsonl_trace(capsys, 12, 300)
+    path = tmp_path / "canonical.jsonl"
+    path.write_text(trace)
+    canonical = run_cli(capsys, "verify", str(path))
+    assert canonical[0] == 0
+    lines = [escaped_layout(line) for line in trace.splitlines()]
+    relaid = '{"base":"3","digits":["1","0","2","2"],"index":1,"rendered":"\\u0031\\u0030'
+    assert lines[1].startswith(relaid)
+    text = "\r\n".join(lines[:3] + ["", "  "] + lines[3:]) + "\r\n\r\n"
+    path = tmp_path / "relaid.jsonl"
+    path.write_bytes(text.encode())
+    assert run_cli(capsys, "verify", str(path)) == canonical
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text, newline=""))
+    assert run_cli(capsys, "verify", "-") == canonical
 
 
 # --- packaging ---------------------------------------------------------------------------

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from goodstein import descent
 from goodstein.descent import check_step, rank, verify_run
-from goodstein.errors import ArityExceeded, DigitOutOfRange, EmptyRun, StepMismatch
+from goodstein.errors import (
+    ArityExceeded, DigitOutOfRange, EmptyRun, MagnitudeCapExceeded, StepMismatch
+)
+from goodstein.hereditary import build_from_digits
 from goodstein.numerals import CUT, Ordering, from_digits, lex_compare, render, to_digits
 from goodstein.sequences import (
     _SUCCESSORS, RunConfig, RunKind, StepRecord, run, run_collected, weak_step
@@ -197,6 +201,68 @@ def test_check_step_rejects_every_single_field_forgery(kind, width, base, steps,
         assert exc.value.index == nxt.index
 
 
+def ordered_check(prev, nxt, kind):
+    """The first failing check of a pair, field by field in ``check_step``'s order.
+
+    Returns ``(step index, reason)``, or None for a genuine, descending step.
+    """
+    if nxt.index != prev.index + 1:
+        return nxt.index, f"record index {nxt.index} does not follow {prev.index}"
+    if not any(prev.digits):
+        return nxt.index, "predecessor value is already zero"
+    try:
+        cap = (nxt.value + 1).bit_length()
+        base, digits, value = _SUCCESSORS[kind](prev.digits, prev.base, cap)
+    except MagnitudeCapExceeded:
+        base = digits = value = None
+    if nxt.value != value and nxt.digits != digits:
+        return nxt.index, f"value {nxt.value} is not a {kind.value} successor of {prev.value}"
+    if nxt.value != value or nxt.digits != digits:
+        return nxt.index, f"digits {list(nxt.digits)} do not spell value {nxt.value} in base {base}"
+    if nxt.base != base:
+        return nxt.index, f"base {nxt.base} does not follow base {prev.base}"
+    if nxt.rendered != render(digits, base):
+        return nxt.index, f"rendered {nxt.rendered!r} does not match the digits"
+    if kind is RunKind.STRONG:
+        if not build_from_digits(digits, base) < build_from_digits(prev.digits, prev.base):
+            return nxt.index, "hereditary trees do not descend in Cantor normal form order"
+    elif lex_compare(digits, prev.digits) is not Ordering.LESS:
+        return nxt.index, "digits do not descend in length-first lexicographic order"
+    return None
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    kind=st.sampled_from(RunKind),
+    base=st.integers(2, 40),
+    start=st.integers(1, 10**40),
+    steps=st.integers(2, 8),
+    field=st.sampled_from(FIELDS + ["digit list"]),
+    data=st.data(),
+)
+def test_verify_run_names_the_first_failing_field_of_a_forgery(
+    kind, base, start, steps, field, data
+):
+    if kind is RunKind.STRONG:
+        base, start = base % 5 + 2, start % 300 + 1
+    records = kind_records(kind, start, steps, base)
+    assume(len(records) > 1)
+    at = data.draw(st.integers(1, len(records) - 1), label="at")
+    if field == "digit list":
+        forged = records[at]._replace(digits=list(records[at].digits))
+    else:
+        forged = forge(records[at], field, data)
+    expected = ordered_check(records[at - 1], forged, kind)
+    trace = records[:at] + [forged] + records[at + 1:]
+    if expected is None:
+        assert forged == records[at]
+        assert len(verify_run(trace, kind).evidence) == len(records) - 1
+    else:
+        with pytest.raises(StepMismatch) as exc:
+            verify_run(trace, kind)
+        assert (exc.value.index, exc.value.reason) == expected
+
+
 def test_check_step_checks_the_predecessor_digits():
     # a predecessor digit out of range for its own base is refused, not borrowed from
     prev = StepRecord(0, 3, 4, (4,), "4_3")
@@ -291,6 +357,20 @@ def test_strong_traces_verify(start):
     cert = verify_run(records, RunKind.STRONG)
     assert cert.k == len(records[0].digits)
     assert len(cert.evidence) == len(records) - 1
+
+
+def test_strong_verify_builds_each_tree_once_for_the_order(monkeypatch):
+    # each pair's successor tree is the next pair's predecessor tree
+    records = kind_records(RunKind.STRONG, 16, 40, max_bits=5000)
+    built = []
+
+    def counting(digits, base):
+        built.append(base)
+        return build_from_digits(digits, base)
+
+    monkeypatch.setattr(descent, "build_from_digits", counting)
+    assert len(verify_run(records, RunKind.STRONG).evidence) == len(records) - 1
+    assert built == [record.base for record in records]
 
 
 def test_strong_evidence_is_the_first_differing_term():

@@ -345,6 +345,17 @@ def test_run_streams_lazily():
     stream.close()
 
 
+def test_step_record_is_an_immutable_tuple_of_its_fields():
+    record = next(run(RunKind.WEAK, RunConfig(8)))
+    index, base, value, digits, rendered = record
+    assert (index, base, value, digits, rendered) == record == (0, 2, 8, (1, 0, 0, 0), "1000_2")
+    assert repr(record) == (
+        "StepRecord(index=0, base=2, value=8, digits=(1, 0, 0, 0), rendered='1000_2')"
+    )
+    with pytest.raises(AttributeError):
+        record.value = 9
+
+
 def test_run_collected_matches_run():
     cfg = RunConfig(6, max_steps=100)
     records, outcome = run_collected(RunKind.WEAK, cfg)
