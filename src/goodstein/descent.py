@@ -20,10 +20,9 @@ one pivot per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, count
 from operator import ne
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ArityExceeded, DomainError, EmptyRun, MagnitudeCapExceeded, StepMismatch
 from .hereditary import HereditaryTree, build_from_digits
@@ -31,8 +30,7 @@ from .numerals import CUT, Digits, _check_digits, from_digits, render
 from .sequences import _SUCCESSORS, RunKind, StepRecord
 
 
-@dataclass(frozen=True)
-class DescentCertificate:
+class DescentCertificate(NamedTuple):
     """Per-step descent evidence for a whole run.
 
     ``k`` is the seed record's digit count: the ranking arity of a weak or
@@ -40,7 +38,8 @@ class DescentCertificate:
     ``evidence[i]`` is the pivot of the step into record
     ``start.index + i + 1``, as ``check_step`` returns it.
     ``all_steps_descend`` is always True, since ``verify_run`` raises on
-    any trace with a step that does not descend.
+    any trace with a step that does not descend. Like ``StepRecord``, a
+    certificate is an immutable tuple of its three fields, in this order.
     """
 
     start: StepRecord

@@ -18,7 +18,7 @@ slow value-domain references the runs are checked against live in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -57,14 +57,14 @@ class StepRecord(NamedTuple):
     rendered: str
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    start_value: int
-    start_base: int = 2
-    max_steps: int = DEFAULT_MAX_STEPS
-    max_bits: int = DEFAULT_MAX_BITS
+class RunConfig(namedtuple("RunConfig", "start_value start_base max_steps max_bits",
+                           defaults=(2, DEFAULT_MAX_STEPS, DEFAULT_MAX_BITS))):
+    """The seed and the two caps of a run, checked when the config is built."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.start_base < 2:
             raise InvalidBase(self.start_base)
         if self.start_value < 0:
@@ -73,6 +73,7 @@ class RunConfig:
             raise DomainError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.max_bits < 1:
             raise DomainError(f"max_bits must be >= 1, got {self.max_bits}")
+        return self
 
 
 def _halt(record: StepRecord, cfg: RunConfig) -> Optional[RunStatus]:
@@ -82,8 +83,7 @@ def _halt(record: StepRecord, cfg: RunConfig) -> Optional[RunStatus]:
     return RunStatus.STEP_CAP_REACHED if record.index + 1 >= cfg.max_steps else None
 
 
-@dataclass(frozen=True)
-class RunOutcome:
+class RunOutcome(NamedTuple):
     status: RunStatus
     steps_emitted: int
     final: StepRecord

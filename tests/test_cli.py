@@ -773,6 +773,27 @@ def test_module_entry_point_runs():
     assert proc.stdout.strip() == "1 1 0 0 1"
 
 
+@pytest.mark.parametrize("module", ["goodstein", "goodstein.cli"])
+def test_importing_the_package_loads_no_dataclasses(module):
+    # dataclasses brings inspect, ast, dis and tokenize into every process;
+    # compare with what the interpreter had loaded before, in case site loads it
+    code = (
+        f"import sys; before = set(sys.modules); import {module}; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=cli_process_env(),
+        cwd=REPO_ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert module in loaded
+    assert "dataclasses" not in loaded
+
+
 @pytest.mark.parametrize("fmt", ["human", "jsonl", "csv"])
 def test_run_prints_values_past_the_int_str_limit(fmt):
     # from 16 the values pass 4300 decimal digits (about 14k bits) at record 35

@@ -1,3 +1,4 @@
+import pickle
 import time
 from itertools import product
 
@@ -285,6 +286,20 @@ def test_verify_run_two_records():
     assert cert.all_steps_descend
     assert len(cert.evidence) == 1
     assert cert.k == 1
+
+
+def test_certificate_is_an_immutable_tuple_of_its_fields():
+    cert = verify_run(weak_records(8, 3))
+    start, k, evidence = cert
+    assert (start, k, evidence) == cert == ((0, 2, 8, (1, 0, 0, 0), "1000_2"), 4, (0, 2))
+    assert repr(cert) == (
+        "DescentCertificate(start=StepRecord(index=0, base=2, value=8, digits=(1, 0, 0, 0), "
+        "rendered='1000_2'), k=4, evidence=(0, 2))"
+    )
+    copy = pickle.loads(pickle.dumps(cert))
+    assert copy == cert and type(copy) is type(cert) and copy.all_steps_descend
+    with pytest.raises(AttributeError):
+        cert.k = 5
 
 
 def test_verify_run_takes_a_seed_with_list_digits():

@@ -1,3 +1,4 @@
+import pickle
 from itertools import islice
 
 import pytest
@@ -8,6 +9,8 @@ from goodstein.errors import DomainError, InvalidBase, MagnitudeCapExceeded
 from goodstein.hereditary import build_hereditary
 from goodstein.numerals import render, to_digits
 from goodstein.sequences import (
+    DEFAULT_MAX_BITS,
+    DEFAULT_MAX_STEPS,
     RunConfig,
     RunKind,
     RunOutcome,
@@ -354,6 +357,31 @@ def test_step_record_is_an_immutable_tuple_of_its_fields():
     )
     with pytest.raises(AttributeError):
         record.value = 9
+
+
+def test_run_config_and_outcome_are_immutable_tuples_of_their_fields():
+    cfg = RunConfig(8, max_steps=3)
+    start_value, start_base, max_steps, max_bits = cfg
+    assert (start_value, start_base, max_steps, max_bits) == cfg == (8, 2, 3, DEFAULT_MAX_BITS)
+    assert repr(cfg) == "RunConfig(start_value=8, start_base=2, max_steps=3, max_bits=1000000)"
+    assert RunConfig(start_value=16, max_bits=300) == RunConfig(16, 2, DEFAULT_MAX_STEPS, 300)
+    _, outcome = run_collected(RunKind.WEAK, cfg)
+    status, steps_emitted, final = outcome
+    assert (status, steps_emitted, final) == outcome
+    assert outcome == (RunStatus.STEP_CAP_REACHED, 3, (2, 4, 41, (2, 2, 1), "221_4"))
+    assert repr(outcome) == (
+        "RunOutcome(status=<RunStatus.STEP_CAP_REACHED: 'StepCapReached'>, steps_emitted=3, "
+        "final=StepRecord(index=2, base=4, value=41, digits=(2, 2, 1), rendered='221_4'))"
+    )
+    for value in (cfg, outcome):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and type(copy) is type(value)
+    with pytest.raises(AttributeError):
+        cfg.max_steps = 4
+    with pytest.raises(AttributeError):
+        cfg.label = "new attribute"
+    with pytest.raises(AttributeError):
+        outcome.steps_emitted = 4
 
 
 def test_run_collected_matches_run():
