@@ -26,7 +26,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ArityExceeded, DomainError, EmptyRun, MagnitudeCapExceeded, StepMismatch
 from .hereditary import HereditaryTree, build_from_digits
-from .numerals import CUT, Digits, _check_digits, from_digits, render
+from .numerals import CUT, Digits, _check_digits, render, to_digits
 from .sequences import _SUCCESSORS, RunKind, StepRecord
 
 
@@ -55,7 +55,7 @@ def _check_record(record: StepRecord) -> None:
     """Raise StepMismatch unless the record's digits, value and rendering agree."""
     digits, base = record.digits, record.base
     try:
-        canonical = from_digits(digits, base) == record.value and (not digits or digits[0] > 0)
+        canonical = tuple(digits) == to_digits(record.value, base)
     except DomainError:
         canonical = False
     if not canonical:

@@ -21,8 +21,9 @@ from .errors import DigitOutOfRange, DomainError, InvalidBase, Underflow
 
 Digits = tuple[int, ...]
 
-# Radix conversion switches to the quadratic digit-at-a-time loop (and
-# Horner's rule) for blocks of at most this many digits.
+# Radix conversion works on blocks of at most this many digits: each is
+# converted digit by digit, and a sequence this short is evaluated by
+# Horner's rule alone. ``descent``'s pivot scan keys on it too.
 CUT = 64
 
 
@@ -38,11 +39,10 @@ def _check_base(base: int) -> None:
 
 
 def _check_digits(digits: Sequence[int], base: int) -> None:
-    if len(digits) > CUT and min(digits) >= 0 and max(digits) < base:
-        return
-    for index, digit in enumerate(digits):
-        if not 0 <= digit < base:
-            raise DigitOutOfRange(index, digit, base)
+    if digits and not 0 <= min(digits) <= max(digits) < base:
+        for index, digit in enumerate(digits):  # name the first bad digit
+            if not 0 <= digit < base:
+                raise DigitOutOfRange(index, digit, base)
 
 
 def to_digits(value: int, base: int) -> Digits:
@@ -51,7 +51,8 @@ def to_digits(value: int, base: int) -> Digits:
     Zero maps to the empty tuple; otherwise the leading digit is nonzero
     and every digit is smaller than the base. Wide values are split by
     divide and conquer (Brent & Zimmermann, *Modern Computer Arithmetic*,
-    2010, section 1.7): one ``divmod`` by ``base**(CUT * 2**k)`` per level,
+    2010, section 1.7): level by level from the top, every block is
+    replaced by its ``divmod`` by the next lower ``base**(CUT * 2**k)``,
     down to blocks of at most ``CUT`` digits that the digit-at-a-time loop
     finishes.
     """
@@ -67,28 +68,18 @@ def to_digits(value: int, base: int) -> Digits:
         if 2 * power.bit_length() - 2 >= value.bit_length():
             break
         power *= power
+    # every block but the first is below the last power split by, so it
+    # stands for exactly CUT * 2**k digits; a zero first block is dropped
+    blocks = [value]
+    for power in reversed(ladder):
+        blocks = [part for block in blocks for part in divmod(block, power)]
+        if not blocks[0]:
+            del blocks[0]
     out: list[int] = []
-    _split_digits(value, base, ladder, len(ladder), False, out)
+    _leaf_digits(blocks[0], base, 0, out)
+    for block in blocks[1:]:
+        _leaf_digits(block, base, CUT, out)
     return tuple(out)
-
-
-def _split_digits(
-    value: int, base: int, ladder: list[int], k: int, pad: bool, out: list[int]
-) -> None:
-    """Append the digits of ``value < base**(CUT * 2**k)`` to ``out``.
-
-    With ``pad`` the digits are zero-padded to exactly ``CUT * 2**k``;
-    without it they are canonical (no leading zeros).
-    """
-    if k == 0:
-        _leaf_digits(value, base, CUT if pad else 0, out)
-        return
-    high, low = divmod(value, ladder[k - 1])
-    if high or pad:
-        _split_digits(high, base, ladder, k - 1, pad, out)
-        _split_digits(low, base, ladder, k - 1, True, out)
-    else:
-        _split_digits(low, base, ladder, k - 1, False, out)
 
 
 def _leaf_digits(value: int, base: int, width: int, out: list[int]) -> None:
@@ -107,9 +98,10 @@ def from_digits(digits: Sequence[int], base: int) -> int:
 
     Rejects digits outside ``[0, base)`` instead of silently evaluating
     them; the empty sequence evaluates to 0. Up to ``CUT`` digits this is
-    Horner's rule; longer sequences are cut into a high part and a low
-    block of ``CUT * 2**k`` digits, evaluated recursively and joined with
-    one multiply by ``base**(CUT * 2**k)`` per level.
+    Horner's rule; longer sequences are cut into blocks of ``CUT`` digits
+    from the low end, each evaluated by Horner's rule, and the blocks are
+    joined in pairs, level by level, with one multiply by
+    ``base**(CUT * 2**k)`` per pair at level ``k``.
     """
     _check_base(base)
     _check_digits(digits, base)
@@ -120,25 +112,17 @@ def _evaluate(digits: Sequence[int], base: int) -> int:
     """``from_digits`` without its checks, for digits known to be in range."""
     if len(digits) <= CUT:
         return _horner(digits, base)
-    ladder = [base**CUT]
-    for _ in range(_block_level(len(digits))):
-        ladder.append(ladder[-1] * ladder[-1])
-    return _join_digits(digits, 0, len(digits), base, ladder)
-
-
-def _block_level(n: int) -> int:
-    """Largest ``k`` with ``CUT * 2**k < n``, for ``n > CUT``."""
-    return ((n - 1) // CUT).bit_length() - 1
-
-
-def _join_digits(digits: Sequence[int], start: int, stop: int, base: int, ladder: list[int]) -> int:
-    """Value of ``digits[start:stop]``."""
-    if stop - start <= CUT:
-        return _horner(digits[start:stop], base)
-    k = _block_level(stop - start)
-    mid = stop - (CUT << k)
-    high = _join_digits(digits, start, mid, base, ladder)
-    return high * ladder[k] + _join_digits(digits, mid, stop, base, ladder)
+    # least significant block first; only the last one may be short
+    stops = range(len(digits), 0, -CUT)
+    blocks = [_horner(digits[stop - CUT : stop], base) for stop in stops[:-1]]
+    blocks.append(_horner(digits[: stops[-1]], base))
+    power = base**CUT
+    while True:
+        odd = blocks[-1:] if len(blocks) % 2 else []
+        blocks = [low + high * power for low, high in zip(blocks[::2], blocks[1::2])] + odd
+        if len(blocks) == 1:
+            return blocks[0]
+        power *= power
 
 
 def _horner(digits: Sequence[int], base: int) -> int:

@@ -125,6 +125,17 @@ def test_check_step_rejects_a_forgery_of_a_huge_successor_fast(monkeypatch):
     assert caps == [(3 ** 27).bit_length()]  # capped at the width the record claims
 
 
+def test_verify_run_rejects_a_forged_wide_seed_fast():
+    # read in this 300-digit base, the 20,001 digits would spell a number of about 2e7 bits
+    base, digits = 10**299 + 7, (1,) + (0,) * 20_000
+    forged = StepRecord(0, base, 1, digits, render(digits, base))
+    began = time.perf_counter()
+    with pytest.raises(StepMismatch, match="do not spell value 1 in base") as exc:
+        verify_run([forged])
+    assert time.perf_counter() - began < 1
+    assert exc.value.index == 0
+
+
 @pytest.mark.parametrize(
     "made, checked", [(RunKind.WEAK, RunKind.STRONG), (RunKind.STRONG, RunKind.WEAK)]
 )

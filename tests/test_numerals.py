@@ -103,11 +103,23 @@ def test_from_digits(digits, base, expected):
     assert from_digits(digits, base) == expected
 
 
-def test_from_digits_rejects_digit_out_of_range():
+@pytest.mark.parametrize(
+    "digits, index",
+    [
+        ((1, 3, 0), 1),
+        # two bad digits, one negative and one at least the base, on both
+        # sides of CUT digits: the first one in the sequence is named
+        ((1,) * 20 + (-1,) + (2,) * 20 + (3,) + (0,) * (CUT - 43), 20),
+        ((1,) * 40 + (5,) + (-4,) + (2,) * (CUT - 41), 40),
+        ((2,) * 2 * CUT + (-1,) + (1,) * (CUT - 2) + (3,), 2 * CUT),
+    ],
+    ids=["3-digits", "CUT-1-digits", "CUT+1-digits", "3CUT-digits"],
+)
+def test_from_digits_rejects_digit_out_of_range(digits, index):
     with pytest.raises(DigitOutOfRange) as excinfo:
-        from_digits((1, 3, 0), 3)
-    assert excinfo.value.index == 1
-    assert excinfo.value.digit == 3
+        from_digits(digits, 3)
+    assert excinfo.value.index == index
+    assert excinfo.value.digit == digits[index]
 
 
 def test_from_digits_rejects_negative_digit():
