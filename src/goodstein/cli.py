@@ -12,6 +12,12 @@ decimal strings; JSON numbers are used only for record indices.
 Every integer on the command line or in a trace, option values included,
 follows one decimal rule, ``-?[0-9]+``. Only ``main`` lifts CPython's
 int<->str limit: for argument parsing and for every subcommand but ``verify``.
+
+``verify`` compares each line after the seed with the line ``run`` writes
+for the expected successor of the record before it, and decodes only the
+lines that differ: the seed, summaries and certificates, other JSON
+layouts and forgeries. Its result is that of ``verify_run(_read_trace(handle))``,
+which decodes every line.
 """
 
 from __future__ import annotations
@@ -24,13 +30,21 @@ import sys
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, Optional, Sequence, TextIO
 
-from .descent import verify_run
+from .descent import (
+    DescentCertificate,
+    _check_pair,
+    _check_record,
+    _descend,
+    _successor_record,
+    verify_run,
+)
 from .errors import EmptyRun, GoodsteinError, StepMismatch
 from .hereditary import build_hereditary, render_tree_dot, render_tree_text
 from .numerals import from_digits, to_digits
 from .sequences import (
     DEFAULT_MAX_BITS,
     DEFAULT_MAX_STEPS,
+    _SUCCESSORS,
     RunConfig,
     RunKind,
     RunOutcome,
@@ -217,44 +231,108 @@ def _check_trailer(obj: dict, lineno: int, last: Optional[StepRecord], k: int, c
         raise GoodsteinError(f"line {lineno}: {what} does not match the {count} records before it")
 
 
+def _parse_line(
+    line: str, lineno: int, last: Optional[StepRecord], k: int, count: int
+) -> Optional[StepRecord]:
+    """Decode a stripped trace line: its record, or None for a summary or certificate line.
+
+    A summary or certificate line must agree with the ``count`` records
+    before it, the last of which is ``last`` and the first of which has
+    ``k`` digits.
+    """
+    try:
+        obj, end = _DECODER.raw_decode(line)
+    except (ValueError, RecursionError):
+        end = None
+    if end != len(line):  # the line is stripped: any text after the value is invalid
+        raise GoodsteinError(f"line {lineno}: not valid JSON")
+    if isinstance(obj, dict) and obj.keys() in _NON_RECORD_KEYS:
+        _check_trailer(obj, lineno, last, k, count)
+        return None
+    try:
+        return _record_from_json(obj)
+    except (KeyError, ValueError) as exc:
+        raise GoodsteinError(f"line {lineno}: bad record ({exc})") from None
+
+
+def _follows_trailer(lineno: int) -> GoodsteinError:
+    return GoodsteinError(f"line {lineno}: a record follows the run summary or certificate")
+
+
 def _read_trace(handle: TextIO) -> Iterator[StepRecord]:
-    """Yield the records of a JSONL trace one line at a time.
+    """Yield the records of a JSONL trace one line at a time, decoding every line.
 
     A run summary or certificate line must agree with the records before it,
-    and no record may follow it.
+    and no record may follow it. ``verify_run(_read_trace(handle))`` is what
+    ``_verify_trace`` computes with fewer decodes.
     """
     last, k, count, ended = None, 0, 0, False
     for lineno, line in enumerate(handle, 1):
         line = line.strip()
         if not line:
             continue
-        try:
-            obj, end = _DECODER.raw_decode(line)
-        except (ValueError, RecursionError):
-            end = None
-        if end != len(line):  # the line is stripped: any text after the value is invalid
-            raise GoodsteinError(f"line {lineno}: not valid JSON")
-        if isinstance(obj, dict) and obj.keys() in _NON_RECORD_KEYS:
-            _check_trailer(obj, lineno, last, k, count)
+        record = _parse_line(line, lineno, last, k, count)
+        if record is None:
             ended = True
             continue
-        try:
-            last = _record_from_json(obj)
-        except (KeyError, ValueError) as exc:
-            raise GoodsteinError(f"line {lineno}: bad record ({exc})") from None
         if ended:
-            raise GoodsteinError(f"line {lineno}: a record follows the run summary or certificate")
+            raise _follows_trailer(lineno)
         if count == 0:
-            k = len(last.digits)
-        count += 1
+            k = len(record.digits)
+        last, count = record, count + 1
         yield last
 
 
+def _verify_trace(handle: TextIO) -> DescentCertificate:
+    """Check a JSONL weak trace as ``verify_run(_read_trace(handle))`` does, line by line.
+
+    After the seed, each line is first compared with the line ``run`` writes
+    for the expected successor of the record before it. A line that equals
+    it is that record, so it is neither decoded nor compared field by field;
+    any other line is decoded and checked against the same expected record.
+    Either way the step's descent is checked, and the first problem in file
+    order decides.
+    """
+    kind = RunKind.WEAK
+    successor = _SUCCESSORS[kind]
+    first = prev = None
+    k, evidence, ended = 0, [], False
+    for lineno, line in enumerate(handle, 1):
+        line = line.strip()
+        if not line:
+            continue
+        nxt = expected = None
+        if prev is not None and not ended:
+            try:  # a line of L characters spells fewer than 4 * L bits
+                expected = _successor_record(prev, successor, 4 * len(line))
+                if expected is not None and line == _record_json(expected):
+                    nxt = expected
+            except ValueError:  # a value past the int<->str limit: the decoder reports it
+                pass
+        if nxt is None:
+            nxt = _parse_line(line, lineno, prev, k, len(evidence) + (first is not None))
+            if nxt is None:
+                ended = True
+                continue
+            if ended:
+                raise _follows_trailer(lineno)
+        if first is None:
+            _check_record(nxt)
+            first, k = nxt, len(nxt.digits)
+        elif nxt is expected:  # the line run writes for it: only the descent is left to check
+            evidence.append(_descend(prev, nxt, kind)[0])
+        else:
+            evidence.append(_check_pair(prev, nxt, kind, expected)[0])
+        prev = nxt
+    if first is None:
+        raise EmptyRun("a run holds at least its seed record")
+    return DescentCertificate(start=first, k=k, evidence=tuple(evidence))
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    # Each record is checked as it is read: the first problem in file order decides.
     stdin = args.path == "-"
     with contextlib.nullcontext(sys.stdin) if stdin else open(args.path, encoding="utf-8") as trace:
-        cert = verify_run(_read_trace(trace))
+        cert = _verify_trace(trace)
     _print_trailer(_certificate(cert.k, len(cert.evidence)), "jsonl")
     return 0
 

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 from .errors import ArityExceeded, DomainError, EmptyRun, MagnitudeCapExceeded, StepMismatch
 from .hereditary import HereditaryTree, build_from_digits
 from .numerals import CUT, Digits, _check_digits, render, to_digits
-from .sequences import _SUCCESSORS, RunKind, StepRecord
+from .sequences import _SUCCESSORS, RunKind, StepRecord, _record
 
 
 class DescentCertificate(NamedTuple):
@@ -78,34 +78,51 @@ def check_step(prev: StepRecord, nxt: StepRecord, kind: RunKind = RunKind.WEAK) 
     the zero-padded digits (weak and decreasing) or the top-level terms of
     the hereditary trees (strong) differ.
     """
+    expected = None
     if nxt.index == prev.index + 1:  # else _check_pair reports the index first
         _check_digits(prev.digits, prev.base)
-    return _check_pair(prev, nxt, kind, _SUCCESSORS[kind])[0]
+        expected = _successor_record(prev, _SUCCESSORS[kind], (nxt.value + 1).bit_length())
+    return _check_pair(prev, nxt, kind, expected)[0]
+
+
+def _successor_record(
+    prev: StepRecord, successor: Callable[[Digits, int, int], tuple[int, Digits, int]], cap: int
+) -> Optional[StepRecord]:
+    """The record ``successor`` makes of ``prev``, whose digits are in range, under ``cap`` bits.
+
+    None when ``prev`` is zero, which has no successor, or when the
+    successor is wider than ``cap`` bits.
+    """
+    if not any(prev.digits):
+        return None
+    try:
+        base, digits, value = successor(prev.digits, prev.base, cap)
+    except MagnitudeCapExceeded:
+        return None
+    return _record(prev.index + 1, base, value, digits)
 
 
 def _check_pair(
     prev: StepRecord,
     nxt: StepRecord,
     kind: RunKind,
-    successor: Callable[[Digits, int, int], tuple[int, Digits, int]],
+    expected: Optional[StepRecord],
     prev_tree: Optional[HereditaryTree] = None,
 ) -> tuple[int, Optional[HereditaryTree]]:
-    """``check_step`` for a ``prev`` whose digits are in range, given ``kind``'s successor.
+    """``check_step`` for a ``prev`` whose digits are in range, given its expected successor.
 
-    A strong pair may take ``prev``'s hereditary tree as ``prev_tree``, as the
-    pair before it returned it. Returns the pivot and ``nxt``'s tree (None
-    for weak and decreasing pairs).
+    ``expected`` is ``_successor_record`` of ``prev`` under a cap of
+    ``nxt.value + 1``'s bits, so never wider than claimed (any cap will do
+    for weak and decreasing runs, whose successors take none). A strong pair
+    may take ``prev``'s hereditary tree as ``prev_tree``, as the pair before
+    it returned it. Returns the pivot and ``nxt``'s tree (None for weak and
+    decreasing pairs).
     """
     if nxt.index != prev.index + 1:
         raise StepMismatch(nxt.index, f"record index {nxt.index} does not follow {prev.index}")
     if not any(prev.digits):
         raise StepMismatch(nxt.index, "predecessor value is already zero")
-    cap = (nxt.value + 1).bit_length()
-    try:
-        base, digits, value = successor(prev.digits, prev.base, cap)
-        expected = (nxt.index, base, value, digits, render(digits, base))
-    except MagnitudeCapExceeded:  # the successor is wider than nxt.value
-        base = digits = value = expected = None
+    _, base, value, digits, rendered = expected or (None,) * 5
     if nxt != expected:  # name the first field that differs
         if nxt.value != value and nxt.digits != digits:
             raise StepMismatch(
@@ -116,12 +133,22 @@ def _check_pair(
             raise StepMismatch(nxt.index, spelled)
         if nxt.base != base:
             raise StepMismatch(nxt.index, f"base {nxt.base} does not follow base {prev.base}")
-        if nxt.rendered != render(digits, base):
+        if nxt.rendered != rendered:
             raise StepMismatch(nxt.index, f"rendered {nxt.rendered!r} does not match the digits")
-    tree = None
+    return _descend(prev, expected, kind, prev_tree)
+
+
+def _descend(
+    prev: StepRecord, nxt: StepRecord, kind: RunKind, prev_tree: Optional[HereditaryTree] = None
+) -> tuple[int, Optional[HereditaryTree]]:
+    """The pivot of the step from ``prev`` to its ``kind`` successor ``nxt``, and ``nxt``'s tree.
+
+    Raises StepMismatch unless the step descends in ``kind``'s order.
+    """
+    tree, digits = None, nxt.digits
     if kind is RunKind.STRONG:
         before = build_from_digits(prev.digits, prev.base) if prev_tree is None else prev_tree
-        after = tree = build_from_digits(digits, base)
+        after = tree = build_from_digits(digits, nxt.base)
         order = "hereditary trees do not descend in Cantor normal form order"
     else:
         # zero-padded to one width, canonical digits compare length-first as tuples
@@ -154,7 +181,8 @@ def verify_run(records: Iterable[StepRecord], kind: RunKind = RunKind.WEAK) -> D
     _check_record(first)
     successor, prev, tree, evidence = _SUCCESSORS[kind], first, None, []
     for nxt in stream:
-        pivot, tree = _check_pair(prev, nxt, kind, successor, tree)
+        expected = _successor_record(prev, successor, (nxt.value + 1).bit_length())
+        pivot, tree = _check_pair(prev, nxt, kind, expected, tree)
         evidence.append(pivot)
         prev = nxt
     return DescentCertificate(start=first, k=len(first.digits), evidence=tuple(evidence))

@@ -60,14 +60,16 @@ def to_digits(value: int, base: int) -> Digits:
     if value < 0:
         raise DomainError(f"expected a natural number, got {value}")
     # ladder[k] is base**(CUT * 2**k). Stop once value < ladder[-1]**2;
-    # when bit lengths already prove that, that square is never computed.
+    # when bit lengths already prove that, that square is never computed,
+    # and neither is base**CUT for a value below 2**(CUT * (bits(base) - 1)).
     ladder: list[int] = []
-    power = base**CUT
-    while power <= value:
-        ladder.append(power)
-        if 2 * power.bit_length() - 2 >= value.bit_length():
-            break
-        power *= power
+    if value.bit_length() > CUT * (base.bit_length() - 1):
+        power = base**CUT
+        while power <= value:
+            ladder.append(power)
+            if 2 * power.bit_length() - 2 >= value.bit_length():
+                break
+            power *= power
     # every block but the first is below the last power split by, so it
     # stands for exactly CUT * 2**k digits; a zero first block is dropped
     blocks = [value]

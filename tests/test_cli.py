@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -9,7 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from goodstein import cli
 from goodstein.cli import _no_int_str_limit, _read_trace, _record_from_json, _record_json, main
+from goodstein.descent import verify_run
+from goodstein.numerals import CUT
 from goodstein.sequences import _SUCCESSORS, RunKind, StepRecord
 
 
@@ -749,6 +753,167 @@ def test_verify_reads_any_json_layout_of_a_trace(tmp_path, capsys, monkeypatch):
     assert run_cli(capsys, "verify", "-") == canonical
 
 
+# --- verify's line comparison against the reader that decodes every line -----------------
+
+def decode_every_line(handle):
+    return verify_run(_read_trace(handle))
+
+
+def verify_outcome(text, verify=None):
+    """Exit code, stdout and stderr of ``goodstein verify -`` reading ``text``.
+
+    With ``verify``, that function stands in for ``cli._verify_trace``.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "stdin", io.StringIO(text, newline=""))
+        if verify is not None:
+            patch.setattr(cli, "_verify_trace", verify)
+        code = main(["verify", "-"])
+    return code, out.getvalue(), err.getvalue()
+
+
+def forge_line(line, field, index=0):
+    """``line``'s record, written as ``run`` writes it, with one field forged."""
+    record = json.loads(line)
+    if field in ("index", "base", "value"):
+        number = int(record[field]) + 1
+        record[field] = number if field == "index" else str(number)
+    elif field == "digit":
+        digits = record["digits"] or ["0"]
+        digits[index % len(digits)] = str(int(digits[index % len(digits)]) + 1)
+        record["digits"] = digits
+    elif field == "leading_zero":
+        record["digits"] = ["0", *record["digits"]]
+    else:
+        record["rendered"] += "0"
+    return json.dumps(record)
+
+
+def relaid(line, layout):
+    if layout == "escaped":
+        return escaped_layout(line)
+    if layout == "sorted":
+        return json.dumps(json.loads(line), sort_keys=True)
+    return json.dumps(json.loads(line), separators=(",", ":"))
+
+
+def test_verify_decodes_only_the_seed_and_trailer_lines_of_a_genuine_trace(capsys, monkeypatch):
+    code, trace, _ = run_cli(
+        capsys, "run", "weak", "--start", "12", "--max-steps", "300", "--format", "jsonl",
+        "--verify",
+    )
+    assert code == 0
+    decoded = []
+    decoder = cli._DECODER
+
+    class CountingDecoder:
+        def raw_decode(self, line):
+            decoded.append(line)
+            return decoder.raw_decode(line)
+
+    monkeypatch.setattr(cli, "_DECODER", CountingDecoder())
+    assert verify_outcome(trace) == (0, trace.splitlines()[-1] + "\n", "")
+    assert decoded == [trace.splitlines()[i] for i in (0, -2, -1)]
+
+
+def test_verify_hands_over_between_relaid_and_canonical_lines(capsys):
+    lines = jsonl_trace(capsys, 12, 40).splitlines()
+    canonical = verify_outcome("\n".join(lines) + "\n")
+    assert canonical[0] == 0
+    # escaped, sorted and compact lines, blank lines between them, canonical lines after
+    mixed = (
+        lines[:5]
+        + [relaid(line, "escaped") for line in lines[5:8]]
+        + ["", "   "]
+        + [relaid(line, "sorted") for line in lines[8:10]]
+        + [""]
+        + [relaid(line, "compact") for line in lines[10:12]]
+        + lines[12:]
+    )
+    text = "\r\n".join(mixed) + "\r\n"
+    assert verify_outcome(text) == verify_outcome(text, decode_every_line) == canonical
+    # a forgery right after a re-laid line, in canonical layout and re-laid
+    after_relaid = mixed.index(lines[12])
+    for forged in (
+        forge_line(lines[12], "value"),
+        relaid(forge_line(lines[12], "rendered"), "compact"),
+    ):
+        text = "\r\n".join(mixed[:after_relaid] + [forged] + mixed[after_relaid + 1 :])
+        outcome = verify_outcome(text)
+        assert outcome == verify_outcome(text, decode_every_line)
+        assert outcome[:2] == (4, "")
+        assert outcome[2].startswith("error: step 12: ")
+
+
+TRACE_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from([
+            "forge", "relay", "blank", "summary", "certificate", "drop", "repeat", "garbage",
+        ]),
+        st.integers(0, 10**6),
+        st.sampled_from(["index", "base", "value", "digit", "leading_zero", "rendered"]),
+        st.sampled_from(["escaped", "sorted", "compact"]),
+        st.integers(-1, 2),
+    ),
+    max_size=3,
+)
+
+
+def edit_trace(lines, edits):
+    lines, seed_digits = list(lines), len(json.loads(lines[0])["digits"])
+    for action, at, field, layout, shift in edits:
+        at %= len(lines) + 1  # insert anywhere, up to after the last line
+        on = min(at, len(lines) - 1)  # change or drop an existing line
+        line = lines[on]
+        if action == "forge" and '"index"' in line:
+            lines[on] = forge_line(line, field, at)
+        elif action == "relay" and line.startswith('{"'):  # a JSON object
+            lines[on] = relaid(line, layout)
+        elif action == "blank":
+            lines.insert(at, " " * shift if shift > 0 else "")
+        elif action in ("summary", "certificate"):
+            # right when shift is 0; a wrong count, status or k otherwise
+            count = sum(1 for line in lines[:at] if '"index"' in line) + shift % 2
+            if action == "summary":
+                status = "TerminatedAtZero" if shift == 2 else "StepCapReached"
+                trailer = {"status": status, "steps_emitted": count}
+            else:
+                k = seed_digits + shift // 2
+                trailer = {"k": k, "verdict": "AllStepsDescend", "steps_checked": count - 1}
+            lines.insert(at, json.dumps(trailer))
+        elif action == "drop" and len(lines) > 1:
+            del lines[on]
+        elif action == "repeat":
+            lines.insert(at, line)
+        elif action == "garbage":
+            lines.insert(at, "{" if shift else "[1, 2]")
+    return lines
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    start=st.one_of(st.integers(1, 15), st.integers(2**CUT, 2 ** (CUT + 8))),
+    steps=st.integers(1, 40),
+    verify=st.booleans(),
+    edits=TRACE_EDITS,
+    newline=st.sampled_from(["\n", "\r\n"]),
+)
+@example(start=4, steps=40, verify=False, edits=[], newline="\n")  # reaches zero
+@example(start=2**CUT, steps=5, verify=True, edits=[("forge", 2, "digit", "sorted", 0)], newline="\n")
+@example(start=8, steps=10, verify=True, edits=[("relay", 3, "value", "escaped", 0),
+                                                ("forge", 4, "base", "sorted", 0)], newline="\r\n")
+@example(start=3, steps=20, verify=False, edits=[("repeat", 7, "index", "sorted", 0)], newline="\n")
+def test_verify_matches_the_reader_that_decodes_every_line(start, steps, verify, edits, newline):
+    out = io.StringIO()
+    argv = ["run", "weak", "--start", str(start), "--max-steps", str(steps), "--format", "jsonl"]
+    with contextlib.redirect_stdout(out):
+        main(argv + ["--verify"] * verify)
+    text = newline.join(edit_trace(out.getvalue().splitlines(), edits)) + newline
+    assert verify_outcome(text) == verify_outcome(text, decode_every_line)
+
+
 # --- packaging ---------------------------------------------------------------------------
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -876,6 +1041,31 @@ def test_verify_keeps_the_int_str_limit(tmp_path):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: line 1: bad record")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="needs CPython's int<->str limit"
+)
+def test_verify_reports_a_successor_past_the_int_str_limit(tmp_path):
+    # the seed has 4001 digits, its weak successor 6340: writing that value
+    # out to compare lines fails, and the decoder reports the line instead
+    path = tmp_path / "limit.jsonl"
+    with path.open("w") as trace, contextlib.redirect_stdout(trace):
+        assert main(["run", "weak", "--start", str(10**4000), "--max-steps", "3",
+                     "--format", "jsonl"]) == 3
+    proc = subprocess.run(
+        [sys.executable, "-m", "goodstein", "verify", str(path)],
+        capture_output=True,
+        text=True,
+        env=cli_process_env(),
+        cwd=REPO_ROOT,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: line 2: bad record (Exceeds the limit (4300 digits) for integer string "
+        "conversion: value has 6340 digits; use sys.set_int_max_str_digits() to increase "
+        "the limit)\n"
+    )
 
 
 @pytest.mark.skipif(

@@ -180,6 +180,25 @@ def test_radix_conversion_at_block_boundaries():
                 assert from_digits(digits, base) == value
 
 
+@pytest.mark.parametrize(
+    "base", [2**64, 2**64 + 13, 2**2000 + 1, 3**1300], ids=["2^64", "2^64+13", "2^2000+1", "3^1300"]
+)
+def test_to_digits_around_the_first_power_of_a_huge_base(base):
+    # base**CUT is skipped below 2**(CUT * (bits(base) - 1)) and used from there on
+    power = base**CUT
+    edge = 2 ** (CUT * (base.bit_length() - 1))
+    for value in (1, 5, base - 1, base, base + 1, edge - 1, edge, power - 1, power, power + 1):
+        digits = to_digits(value, base)
+        assert digits == digits_by_divmod(value, base)
+        assert from_digits(digits, base) == value
+
+
+def test_to_digits_of_small_values_in_a_100000_bit_base():
+    base = 2**100_000 + 1
+    for value in (0, 1, 5, 2**99_999, base - 1, base, base + 1, base * (base - 1)):
+        assert to_digits(value, base) == digits_by_divmod(value, base)
+
+
 # --- decrement_in_base ---------------------------------------------------------
 
 def test_decrement_borrow_base_2():
