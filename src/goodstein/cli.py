@@ -17,7 +17,8 @@ int<->str limit: for argument parsing and for every subcommand but ``verify``.
 for the expected successor of the record before it, and decodes only the
 lines that differ: the seed, summaries and certificates, other JSON
 layouts and forgeries. Its result is that of ``verify_run(_read_trace(handle))``,
-which decodes every line.
+which decodes every line, save where a successor's base has no text under
+CPython's int<->str limit.
 """
 
 from __future__ import annotations
@@ -291,7 +292,9 @@ def _verify_trace(handle: TextIO) -> DescentCertificate:
     it is that record, so it is neither decoded nor compared field by field;
     any other line is decoded and checked against the same expected record.
     Either way the step's descent is checked, and the first problem in file
-    order decides.
+    order decides. An expected record whose base is past CPython's int<->str
+    limit has no rendering; the decoded line is still checked against its
+    value, digits and base, where ``verify_run`` raises ValueError.
     """
     kind = RunKind.WEAK
     successor = _SUCCESSORS[kind]
@@ -303,12 +306,15 @@ def _verify_trace(handle: TextIO) -> DescentCertificate:
             continue
         nxt = expected = None
         if prev is not None and not ended:
-            try:  # a line of L characters spells fewer than 4 * L bits
-                expected = _successor_record(prev, successor, 4 * len(line))
+            cap = 4 * len(line)  # a line of L characters spells fewer than 4 * L bits
+            try:
+                expected = _successor_record(prev, successor, cap)
                 if expected is not None and line == _record_json(expected):
                     nxt = expected
-            except ValueError:  # a value past the int<->str limit: the decoder reports it
-                pass
+            except ValueError:  # text past the int<->str limit, which no decoded line matches
+                if expected is None:  # the base has no text: check every other field
+                    base, digits, value = successor(prev.digits, prev.base, cap)
+                    expected = StepRecord(prev.index + 1, base, value, digits, None)
         if nxt is None:
             nxt = _parse_line(line, lineno, prev, k, len(evidence) + (first is not None))
             if nxt is None:

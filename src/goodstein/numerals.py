@@ -101,9 +101,9 @@ def from_digits(digits: Sequence[int], base: int) -> int:
     Rejects digits outside ``[0, base)`` instead of silently evaluating
     them; the empty sequence evaluates to 0. Up to ``CUT`` digits this is
     Horner's rule; longer sequences are cut into blocks of ``CUT`` digits
-    from the low end, each evaluated by Horner's rule, and the blocks are
-    joined in pairs, level by level, with one multiply by
-    ``base**(CUT * 2**k)`` per pair at level ``k``.
+    from the low end, each evaluated by Horner's rule unless it is all
+    zeros, and the blocks are joined in pairs, level by level, with one
+    multiply by ``base**(CUT * 2**k)`` per pair at level ``k``.
     """
     _check_base(base)
     _check_digits(digits, base)
@@ -116,8 +116,9 @@ def _evaluate(digits: Sequence[int], base: int) -> int:
         return _horner(digits, base)
     # least significant block first; only the last one may be short
     stops = range(len(digits), 0, -CUT)
-    blocks = [_horner(digits[stop - CUT : stop], base) for stop in stops[:-1]]
-    blocks.append(_horner(digits[: stops[-1]], base))
+    blocks = [digits[stop - CUT : stop] for stop in stops[:-1]]
+    blocks.append(digits[: stops[-1]])
+    blocks = [_horner(block, base) if any(block) else 0 for block in blocks]
     power = base**CUT
     while True:
         odd = blocks[-1:] if len(blocks) % 2 else []
@@ -180,25 +181,29 @@ def lex_compare(a: Sequence[int], b: Sequence[int]) -> Ordering:
     return Ordering.GREATER if key_a > key_b else Ordering.EQUAL
 
 
+# the text of each digit below 256, indexed by the digit's latin-1 code point
+_DIGIT_TEXT = [str(d) if d < 10 else f"({d})" for d in range(256)]
+
+
 def render(digits: Sequence[int], base: int) -> str:
     """Compact numeral with the base as suffix, e.g. ``(2, 0, 11)`` -> ``20(11)_12``.
 
     Digits below ten print as single characters, larger digits are wrapped
     in parentheses, and a zero-valued (empty) sequence prints as ``0``.
     Only the base is checked: a digit outside ``[0, base)`` prints the
-    same way, so ``render((5,), 2)`` is ``5_2``.
+    same way, so ``render((5,), 2)`` is ``5_2``. Up to base 256 the digits
+    are rendered as bytes by one ``str.translate``; a digit that is no byte
+    (below 0 or above 255), and every digit of a wider base, is formatted
+    one at a time.
     """
     _check_base(base)
-    # With at least as many digits as the base, formatting each digit value
-    # of the base once and looking the digits up is cheaper than formatting
-    # every digit; a base wider than the numeral never builds the table. A
-    # digit outside [0, base) has no entry and takes the per-digit path.
-    if base <= len(digits):
-        table = {d: str(d) if d < 10 else f"({d})" for d in range(base)}
+    if base <= 256:
         try:
-            return f"{''.join(map(table.__getitem__, digits))}_{base}"
-        except KeyError:
+            body = bytes(digits).decode("latin-1").translate(_DIGIT_TEXT)
+        except (TypeError, ValueError):
             pass
+        else:
+            return f"{body or '0'}_{base}"
     body = "".join([str(d) if d < 10 else f"({d})" for d in digits]) or "0"
     return f"{body}_{base}"
 

@@ -7,23 +7,25 @@ the seed converts a value to digits. Each kind has one successor in
 against. Decreasing and weak runs borrow one in the same or the next base.
 The strong step rewrites the digit positions in hereditary notation first,
 which is why it explodes and needs a magnitude cap on top of the step cap:
-each coefficient moves to its position's hereditary form evaluated in the
-new base, then the same borrow applies. Each record's digits come out of
-that borrow (or, for the seed, out of ``to_digits``) canonical and in range,
-so the successors call the unchecked kernels behind ``decrement_in_base``
-and ``from_digits`` and check no digit twice. ``weak_step`` and
-``strong_step`` are ``to_digits`` followed by the run's own successor; the
-slow value-domain references the runs are checked against live in the tests.
+each nonzero coefficient moves to its position's hereditary form evaluated
+in the new base, which ``_bump`` computes from the position as an integer
+without building a tree, then the same borrow applies. Each record's
+digits come out of that borrow (or, for the seed, out of ``to_digits``)
+canonical and in range, so the successors call the unchecked kernels
+behind ``decrement_in_base`` and ``from_digits`` and check no digit twice.
+``weak_step`` and ``strong_step`` are ``to_digits`` followed by the run's
+own successor; the slow value-domain references the runs are checked
+against live in the tests.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
+from itertools import compress, count
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .errors import DomainError, InvalidBase, MagnitudeCapExceeded
-from .hereditary import HereditaryTree, build_from_digits
 from .numerals import Digits, _borrow, _evaluate, render, to_digits
 
 DEFAULT_MAX_STEPS = 10**6
@@ -122,44 +124,55 @@ def decreasing_step(value: int) -> int:
     return value - 1
 
 
-def _eval_capped(tree: HereditaryTree, base: int, max_bits: int) -> int:
-    """Evaluate a hereditary tree, refusing to grow past ``max_bits`` bits.
+def _bump(position: int, base: int, max_bits: int) -> int:
+    """``position``'s hereditary base-``base`` form evaluated at ``base + 1``.
 
-    A nonzero exponent is checked before ``base**exponent`` is computed:
-    ``base**e`` needs at least ``e + 1`` bits, so an exponent at or above
-    the cap proves overflow without touching the power.
+    Each nonzero digit ``d`` at place ``i`` of ``position`` in base ``base``
+    is the term ``d * (base + 1)**_bump(i)``, summed from the highest place
+    down. A term whose bumped place ``e`` (for ``i > 0``) is at or above
+    ``max_bits`` is refused before ``(base + 1)**e`` is computed, as that
+    power needs more than ``max_bits`` bits, and so is a sum wider than
+    ``max_bits``. A position below the base is its own single digit and
+    stays put, unless it is already wider than ``max_bits``.
     """
-    total = 0
-    for exponent_tree, coefficient in tree:
-        exponent = _eval_capped(exponent_tree, base, max_bits)
-        if exponent_tree and exponent >= max_bits:
-            raise MagnitudeCapExceeded(exponent + 1)
-        total += coefficient * base**exponent
-        if total.bit_length() > max_bits:
-            raise MagnitudeCapExceeded(total.bit_length())
+    if position < base and position.bit_length() <= max_bits:
+        return position
+    places: list[int] = []  # the digits of position, least significant first
+    while position:
+        position, digit = divmod(position, base)
+        places.append(digit)
+    new_base, total = base + 1, 0
+    for place in reversed(range(len(places))):
+        if places[place]:
+            exponent = _bump(place, base, max_bits)
+            if place and exponent >= max_bits:
+                raise MagnitudeCapExceeded(exponent + 1)
+            total += places[place] * new_base**exponent
+            if total.bit_length() > max_bits:
+                raise MagnitudeCapExceeded(total.bit_length())
     return total
 
 
 def _strong_successor(digits: Digits, base: int, max_bits: int) -> tuple[int, Digits, int]:
     """New base, digits and value of the strong step from ``digits`` in ``base``.
 
-    Each coefficient keeps its place: a term ``(e, c)`` of the hereditary
-    tree moves to position ``e`` evaluated at ``base + 1``. Minus one is the
-    borrow ``c*B**e - 1 = (c-1)*B**e + sum((B-1)*B**i for i < e)``. Raises
-    MagnitudeCapExceeded exactly when the bumped value has more than
+    Each nonzero digit keeps its value and moves from position ``e`` to
+    ``_bump(e)``: its position's hereditary form evaluated at ``B = base + 1``.
+    Minus one is the borrow ``c*B**e - 1 = (c-1)*B**e + sum((B-1)*B**i for i < e)``.
+    Raises MagnitudeCapExceeded exactly when the bumped value has more than
     ``max_bits`` bits. Positions are checked before any digit list is
-    built: ``_eval_capped`` refuses a nested exponent at or above
-    ``max_bits``, and a top position ``e`` with ``B**e >= 2**max_bits`` is
-    refused here.
+    built: ``_bump`` refuses a nested exponent at or above ``max_bits``,
+    and a top position ``e`` with ``B**e >= 2**max_bits`` is refused here.
+    The work is one bump per nonzero digit; zero digits cost only their
+    slots in the new digit list.
     """
-    new_base = base + 1
-    tree = build_from_digits(digits, base)
-    new_top = _eval_capped(tree[0][0], new_base, max_bits)
+    new_base, top = base + 1, len(digits) - 1
+    new_top = _bump(top, base, max_bits)
     if new_top * (new_base.bit_length() - 1) >= max_bits:
         raise MagnitudeCapExceeded(new_top * (new_base.bit_length() - 1) + 1)
     bumped = [0] * (new_top + 1)
-    for exponent, coefficient in tree:
-        bumped[new_top - _eval_capped(exponent, new_base, max_bits)] = coefficient
+    for i in compress(count(), digits):
+        bumped[new_top - _bump(top - i, base, max_bits)] = digits[i]
     successor = _borrow(bumped, new_base)
     value = _evaluate(successor, new_base)
     if (value + 1).bit_length() > max_bits:

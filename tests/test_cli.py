@@ -539,6 +539,23 @@ def test_verify_reports_unparseable_line(tmp_path, capsys, text):
     assert err.startswith("error: line 1: ")
 
 
+def test_verify_names_the_base_of_a_successor_past_the_int_str_limit(tmp_path, capsys):
+    # the successor's base 10**4300 has no text under the limit; the forged
+    # record's value and digits are right, so its base is what is wrong
+    nines = "9" * 4300
+    path = tmp_path / "limit_base.jsonl"
+    write_records(path, [
+        {"index": 0, "base": nines, "value": "1", "digits": ["1"], "rendered": f"1_{nines}"},
+        {"index": 1, "base": "5", "value": "0", "digits": [], "rendered": "0_5"},
+    ])
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert (code, out) == (4, "")
+    assert err == f"error: step 1: base 5 does not follow base {nines}\n"
+    if hasattr(sys, "get_int_max_str_digits"):  # the library renders the successor and fails
+        with open(path) as trace, pytest.raises(ValueError):
+            verify_run(_read_trace(trace))
+
+
 @pytest.mark.parametrize("tail", [" x", " {}", "]", ' "rendered"', "\x00"])
 def test_verify_rejects_text_after_the_json_value(tmp_path, capsys, tail):
     lines = jsonl_trace(capsys, 8, 5).splitlines()

@@ -329,25 +329,28 @@ def test_render(digits, base, expected):
 
 
 @st.composite
-def numerals_around_the_table_gate(draw):
-    """A base and digits either side of ``render``'s table gate.
+def numerals_around_the_byte_gate(draw):
+    """A base and digits either side of ``render``'s byte gate.
 
-    In-range digits at least as many as the base take the table; shorter
-    sequences, and any with a negative or too-large digit, are formatted
-    digit by digit.
+    In a base up to 256, digits that are all bytes (0 to 255) are rendered
+    by one translate; a digit below 0 or above 255, and any digit of a
+    wider base, is formatted digit by digit.
     """
-    base = draw(st.integers(2, 30))
-    if draw(st.booleans()):
-        return draw(st.lists(st.integers(0, base - 1), min_size=base, max_size=3 * base)), base
-    return draw(st.lists(st.integers(-12, base + 12), max_size=3 * base)), base
+    base = draw(st.one_of(st.integers(2, 30), st.integers(240, 272)))
+    low, high = draw(st.sampled_from([(0, base - 1), (-12, base + 12), (-3, 300)]))
+    return draw(st.lists(st.integers(low, high), max_size=80)), base
 
 
-@given(numeral=numerals_around_the_table_gate())
+@given(numeral=numerals_around_the_byte_gate())
 @example(numeral=([1, 0], 2))
 @example(numeral=([5], 2))
 @example(numeral=([0, 1, 2], 2))
 @example(numeral=([1, -1, 0], 2))
 @example(numeral=(list(range(12)) * 2, 12))
+@example(numeral=([255, 0], 256))
+@example(numeral=([256], 256))
+@example(numeral=([-1, 3], 10))
+@example(numeral=([300, 1], 257))
 def test_render_matches_per_digit_formatting(numeral):
     digits, base = numeral
     body = "".join([str(d) if d < 10 else f"({d})" for d in digits]) or "0"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from goodstein.errors import DomainError, InvalidBase, MagnitudeCapExceeded
 from goodstein.hereditary import build_hereditary
-from goodstein.numerals import render, to_digits
+from goodstein.numerals import CUT, render, to_digits
 from goodstein.sequences import (
     DEFAULT_MAX_BITS,
     DEFAULT_MAX_STEPS,
@@ -318,6 +318,27 @@ def test_tree_domain_strong_step_matches_strong_step(value, base):
         (1, base + 1, expected),
     ]
     assert records[1].digits == to_digits(expected, base + 1)
+
+
+def test_wide_strong_run_matches_the_slow_reference():
+    # from 16 to 52,000 bits positions pass base**2 and whole 64-digit
+    # blocks are zero, which the narrow hypothesis draws never reach
+    max_bits = 52_000
+    records, outcome = run_collected(RunKind.STRONG, RunConfig(16, max_bits=max_bits))
+    values = [16]
+    while True:
+        try:
+            values.append(strong_step_reference(values[-1], 2 + len(values) - 1, max_bits))
+        except MagnitudeCapExceeded:
+            break
+    assert [(r.index, r.base, r.value) for r in records] == [
+        (index, 2 + index, value) for index, value in enumerate(values)
+    ]
+    assert outcome.status is RunStatus.MAGNITUDE_CAP_REACHED
+    assert max(len(r.digits) for r in records) > records[-1].base ** 2
+    widest = max(records, key=lambda r: len(r.digits)).digits
+    stops = range(len(widest), CUT, -CUT)  # _evaluate's blocks, least significant first
+    assert any(not any(widest[stop - CUT : stop]) for stop in stops)
 
 
 @given(start=st.integers(1, 300), base=st.integers(2, 8), max_bits=st.integers(1, 200))
