@@ -13,12 +13,13 @@ Every integer on the command line or in a trace, option values included,
 follows one decimal rule, ``-?[0-9]+``. Only ``main`` lifts CPython's
 int<->str limit: for argument parsing and for every subcommand but ``verify``.
 
-``verify`` compares each line after the seed with the line ``run`` writes
-for the expected successor of the record before it, and decodes only the
-lines that differ: the seed, summaries and certificates, other JSON
-layouts and forgeries. Its result is that of ``verify_run(_read_trace(handle))``,
-which decodes every line, save where a successor's base has no text under
-CPython's int<->str limit.
+``verify`` reads a trace into ``descent._certify``, the loop that
+``verify_run`` also runs, and keeps only the line handling here. It
+compares each line after the seed with the line ``run`` writes for the
+expected successor of the record before it, and decodes only the lines
+that differ: the seed, summaries and certificates, other JSON layouts and
+forgeries. Its result is that of ``verify_run(_read_trace(handle))``,
+which decodes every line.
 """
 
 from __future__ import annotations
@@ -31,14 +32,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, Optional, Sequence, TextIO
 
-from .descent import (
-    DescentCertificate,
-    _check_pair,
-    _check_record,
-    _descend,
-    _successor_record,
-    verify_run,
-)
+from .descent import DescentCertificate, _certify, _successor_record, verify_run
 from .errors import EmptyRun, GoodsteinError, StepMismatch
 from .hereditary import build_hereditary, render_tree_dot, render_tree_text
 from .numerals import from_digits, to_digits
@@ -194,19 +188,8 @@ def _record_from_json(obj: object) -> StepRecord:
     index, digits, rendered = obj["index"], obj["digits"], obj["rendered"]
     if type(index) is not int or not isinstance(digits, list) or not isinstance(rendered, str):
         raise ValueError("index must be an integer, digits a list, rendered a string")
-    # One pass over the joined text accepts fields that are all unsigned
-    # decimals, as every field of a genuine trace is. Any other record is
-    # read field by field with _decimal, which names the first field off the
-    # rule, in record order, or accepts a "-".
-    fields = [obj.get("base"), obj.get("value"), *digits]
-    try:
-        text = "".join(fields)
-    except TypeError:  # a field that is not a string
-        text = ""
-    if not (text.isascii() and text.isdigit() and all(fields)):
-        fields = [_decimal(obj["base"]), _decimal(obj["value"]), *map(_decimal, digits)]
-    base, value, *digits = map(int, fields)
-    record = StepRecord(index, base, value, tuple(digits), rendered)
+    base, value = _decimal(obj["base"]), _decimal(obj["value"])
+    record = StepRecord(index, base, value, tuple(map(_decimal, digits)), rendered)
     if len(obj) != len(_RECORD_KEYS):  # every record key is present by now
         raise ValueError(f"unexpected keys {sorted(obj.keys() - _RECORD_KEYS)}")
     return record
@@ -233,13 +216,13 @@ def _check_trailer(obj: dict, lineno: int, last: Optional[StepRecord], k: int, c
 
 
 def _parse_line(
-    line: str, lineno: int, last: Optional[StepRecord], k: int, count: int
+    line: str, lineno: int, last: Optional[StepRecord], k: int, count: int, ended: bool
 ) -> Optional[StepRecord]:
     """Decode a stripped trace line: its record, or None for a summary or certificate line.
 
     A summary or certificate line must agree with the ``count`` records
     before it, the last of which is ``last`` and the first of which has
-    ``k`` digits.
+    ``k`` digits. No record may follow one, that is, come once ``ended``.
     """
     try:
         obj, end = _DECODER.raw_decode(line)
@@ -251,33 +234,31 @@ def _parse_line(
         _check_trailer(obj, lineno, last, k, count)
         return None
     try:
-        return _record_from_json(obj)
+        record = _record_from_json(obj)
     except (KeyError, ValueError) as exc:
         raise GoodsteinError(f"line {lineno}: bad record ({exc})") from None
-
-
-def _follows_trailer(lineno: int) -> GoodsteinError:
-    return GoodsteinError(f"line {lineno}: a record follows the run summary or certificate")
+    if ended:
+        raise GoodsteinError(f"line {lineno}: a record follows the run summary or certificate")
+    return record
 
 
 def _read_trace(handle: TextIO) -> Iterator[StepRecord]:
     """Yield the records of a JSONL trace one line at a time, decoding every line.
 
     A run summary or certificate line must agree with the records before it,
-    and no record may follow it. ``verify_run(_read_trace(handle))`` is what
-    ``_verify_trace`` computes with fewer decodes.
+    and no record may follow it. ``verify_run(_read_trace(handle))`` is the
+    reference for ``_verify_trace``, which feeds the same checks with fewer
+    decodes.
     """
     last, k, count, ended = None, 0, 0, False
     for lineno, line in enumerate(handle, 1):
         line = line.strip()
         if not line:
             continue
-        record = _parse_line(line, lineno, last, k, count)
+        record = _parse_line(line, lineno, last, k, count, ended)
         if record is None:
             ended = True
             continue
-        if ended:
-            raise _follows_trailer(lineno)
         if count == 0:
             k = len(record.digits)
         last, count = record, count + 1
@@ -287,52 +268,39 @@ def _read_trace(handle: TextIO) -> Iterator[StepRecord]:
 def _verify_trace(handle: TextIO) -> DescentCertificate:
     """Check a JSONL weak trace as ``verify_run(_read_trace(handle))`` does, line by line.
 
-    After the seed, each line is first compared with the line ``run`` writes
+    Each line after the seed is first compared with the line ``run`` writes
     for the expected successor of the record before it. A line that equals
-    it is that record, so it is neither decoded nor compared field by field;
-    any other line is decoded and checked against the same expected record.
-    Either way the step's descent is checked, and the first problem in file
-    order decides. An expected record whose base is past CPython's int<->str
-    limit has no rendering; the decoded line is still checked against its
-    value, digits and base, where ``verify_run`` raises ValueError.
+    it is handed to ``_certify`` as that expected record, so only its
+    descent is checked; any other line is decoded. The first problem in
+    file order decides.
     """
-    kind = RunKind.WEAK
-    successor = _SUCCESSORS[kind]
-    first = prev = None
-    k, evidence, ended = 0, [], False
-    for lineno, line in enumerate(handle, 1):
-        line = line.strip()
-        if not line:
-            continue
-        nxt = expected = None
-        if prev is not None and not ended:
-            cap = 4 * len(line)  # a line of L characters spells fewer than 4 * L bits
-            try:
-                expected = _successor_record(prev, successor, cap)
-                if expected is not None and line == _record_json(expected):
-                    nxt = expected
-            except ValueError:  # text past the int<->str limit, which no decoded line matches
-                if expected is None:  # the base has no text: check every other field
-                    base, digits, value = successor(prev.digits, prev.base, cap)
-                    expected = StepRecord(prev.index + 1, base, value, digits, None)
-        if nxt is None:
-            nxt = _parse_line(line, lineno, prev, k, len(evidence) + (first is not None))
-            if nxt is None:
-                ended = True
+
+    def pairs() -> Iterator[tuple[StepRecord, Optional[StepRecord]]]:
+        successor, prev, k, count, ended = _SUCCESSORS[RunKind.WEAK], None, 0, 0, False
+        for lineno, line in enumerate(handle, 1):
+            line = line.strip()
+            if not line:
                 continue
-            if ended:
-                raise _follows_trailer(lineno)
-        if first is None:
-            _check_record(nxt)
-            first, k = nxt, len(nxt.digits)
-        elif nxt is expected:  # the line run writes for it: only the descent is left to check
-            evidence.append(_descend(prev, nxt, kind)[0])
-        else:
-            evidence.append(_check_pair(prev, nxt, kind, expected)[0])
-        prev = nxt
-    if first is None:
-        raise EmptyRun("a run holds at least its seed record")
-    return DescentCertificate(start=first, k=k, evidence=tuple(evidence))
+            nxt = expected = None
+            if prev is not None and not ended:
+                # a line of L characters spells fewer than 4 * L bits
+                expected = _successor_record(prev, successor, 4 * len(line))
+                try:
+                    if expected is not None and line == _record_json(expected):
+                        nxt = expected
+                except ValueError:  # text past the int<->str limit matches no line
+                    pass
+            if nxt is None:
+                nxt = _parse_line(line, lineno, prev, k, count, ended)
+                if nxt is None:
+                    ended = True
+                    continue
+            if count == 0:
+                k = len(nxt.digits)
+            prev, count = nxt, count + 1
+            yield nxt, expected
+
+    return _certify(pairs(), RunKind.WEAK)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -15,14 +15,15 @@ its own: canonical digits that spell ``value`` in ``base`` and match
 predecessor, the one ``sequences.run`` takes, and then descend in the
 kind's order; for weak and decreasing runs that bounds every record's
 length by the seed's. A certificate keeps the seed, its digit count and
-one pivot per step.
+one pivot per step. One loop, ``_certify``, checks the records that both
+``verify_run`` and ``goodstein verify`` read.
 """
 
 from __future__ import annotations
 
 from itertools import compress, count
 from operator import ne
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ArityExceeded, DomainError, EmptyRun, MagnitudeCapExceeded, StepMismatch
 from .hereditary import HereditaryTree, build_from_digits
@@ -91,7 +92,8 @@ def _successor_record(
     """The record ``successor`` makes of ``prev``, whose digits are in range, under ``cap`` bits.
 
     None when ``prev`` is zero, which has no successor, or when the
-    successor is wider than ``cap`` bits.
+    successor is wider than ``cap`` bits. Its ``rendered`` is None when its
+    base has no decimal text under CPython's int<->str limit.
     """
     if not any(prev.digits):
         return None
@@ -99,7 +101,10 @@ def _successor_record(
         base, digits, value = successor(prev.digits, prev.base, cap)
     except MagnitudeCapExceeded:
         return None
-    return _record(prev.index + 1, base, value, digits)
+    try:
+        return _record(prev.index + 1, base, value, digits)
+    except ValueError:  # past the int<->str limit: _check_pair renders it if it must
+        return StepRecord(prev.index + 1, base, value, digits, None)
 
 
 def _check_pair(
@@ -113,10 +118,11 @@ def _check_pair(
 
     ``expected`` is ``_successor_record`` of ``prev`` under a cap of
     ``nxt.value + 1``'s bits, so never wider than claimed (any cap will do
-    for weak and decreasing runs, whose successors take none). A strong pair
-    may take ``prev``'s hereditary tree as ``prev_tree``, as the pair before
-    it returned it. Returns the pivot and ``nxt``'s tree (None for weak and
-    decreasing pairs).
+    for weak and decreasing runs, whose successors take none); its
+    rendering is made here if it is None (ValueError past the int<->str
+    limit). A strong pair may take ``prev``'s hereditary tree as
+    ``prev_tree``, as the pair before it returned it. Returns the pivot and
+    ``nxt``'s tree (None for weak and decreasing pairs).
     """
     if nxt.index != prev.index + 1:
         raise StepMismatch(nxt.index, f"record index {nxt.index} does not follow {prev.index}")
@@ -133,6 +139,8 @@ def _check_pair(
             raise StepMismatch(nxt.index, spelled)
         if nxt.base != base:
             raise StepMismatch(nxt.index, f"base {nxt.base} does not follow base {prev.base}")
+        if rendered is None:  # the base is past the int<->str limit
+            rendered = render(digits, base)
         if nxt.rendered != rendered:
             raise StepMismatch(nxt.index, f"rendered {nxt.rendered!r} does not match the digits")
     return _descend(prev, expected, kind, prev_tree)
@@ -165,27 +173,49 @@ def _descend(
     return pivot, tree
 
 
+def _certify(
+    pairs: Iterable[tuple[StepRecord, Optional[StepRecord]]], kind: RunKind
+) -> DescentCertificate:
+    """Check a ``kind`` run given as pairs of a record and its expected record.
+
+    That is ``_successor_record`` of the record before, checked by the time
+    the pair is drawn (None for the seed, which is checked on its own). A
+    record that *is* its expected record has only its descent to check.
+    """
+    stream = iter(pairs)
+    first, _ = next(stream, (None, None))
+    if first is None:
+        raise EmptyRun("a run holds at least its seed record")
+    _check_record(first)
+    prev, tree, evidence = first, None, []
+    for nxt, expected in stream:
+        if nxt is expected:
+            pivot, tree = _descend(prev, nxt, kind, tree)
+        else:
+            pivot, tree = _check_pair(prev, nxt, kind, expected, tree)
+        evidence.append(pivot)
+        prev = nxt
+    return DescentCertificate(start=first, k=len(first.digits), evidence=tuple(evidence))
+
+
 def verify_run(records: Iterable[StepRecord], kind: RunKind = RunKind.WEAK) -> DescentCertificate:
     """Check every record and every adjacent pair of a ``kind`` run's trace.
 
     Consumes the record stream once and checks each record once: the seed
     on its own, every later one as the successor of the record before it,
-    whose digits are in range by then. Raises StepMismatch at the first
-    record that fails a check, so a returned certificate always says every
-    step descends; it keeps one pivot per pair.
+    built under a cap of its own value's bits. Raises StepMismatch at the
+    first failing record, so a returned certificate always says every step
+    descends; it keeps one pivot per pair.
     """
-    stream = iter(records)
-    first = next(stream, None)
-    if first is None:
-        raise EmptyRun("a run holds at least its seed record")
-    _check_record(first)
-    successor, prev, tree, evidence = _SUCCESSORS[kind], first, None, []
-    for nxt in stream:
-        expected = _successor_record(prev, successor, (nxt.value + 1).bit_length())
-        pivot, tree = _check_pair(prev, nxt, kind, expected, tree)
-        evidence.append(pivot)
-        prev = nxt
-    return DescentCertificate(start=first, k=len(first.digits), evidence=tuple(evidence))
+
+    def pairs() -> Iterator[tuple[StepRecord, Optional[StepRecord]]]:
+        successor, prev = _SUCCESSORS[kind], None
+        for nxt in records:
+            cap = (nxt.value + 1).bit_length()
+            yield nxt, None if prev is None else _successor_record(prev, successor, cap)
+            prev = nxt
+
+    return _certify(pairs(), kind)
 
 
 def rank(digits: Sequence[int], arity: int) -> tuple[int, ...]:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from goodstein import cli
 from goodstein.cli import _no_int_str_limit, _read_trace, _record_from_json, _record_json, main
 from goodstein.descent import verify_run
+from goodstein.errors import StepMismatch
 from goodstein.numerals import CUT
 from goodstein.sequences import _SUCCESSORS, RunKind, StepRecord
 
@@ -551,9 +552,35 @@ def test_verify_names_the_base_of_a_successor_past_the_int_str_limit(tmp_path, c
     code, out, err = run_cli(capsys, "verify", str(path))
     assert (code, out) == (4, "")
     assert err == f"error: step 1: base 5 does not follow base {nines}\n"
-    if hasattr(sys, "get_int_max_str_digits"):  # the library renders the successor and fails
-        with open(path) as trace, pytest.raises(ValueError):
+    if hasattr(sys, "get_int_max_str_digits"):  # the library names the base too
+        with open(path) as trace, pytest.raises(StepMismatch) as caught:
             verify_run(_read_trace(trace))
+        assert f"error: {caught.value}\n" == err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["strong", "--start", "4", "--max-steps", "3"],
+            "step 1: value 26 is not a weak successor of 4",
+        ),
+        (
+            ["decreasing", "--start", "5", "--base", "3"],
+            "step 1: digits [1, 1] do not spell value 4 in base 4",
+        ),
+    ],
+    ids=["strong", "decreasing"],
+)
+def test_verify_refuses_traces_of_other_kinds(tmp_path, capsys, argv, expected):
+    code, trace, _ = run_cli(capsys, "run", *argv, "--format", "jsonl")
+    assert code in (0, 3)
+    path = tmp_path / "other_kind.jsonl"
+    path.write_text(trace)
+    assert run_cli(capsys, "verify", str(path)) == (4, "", f"error: {expected}\n")
+    with open(path) as handle, pytest.raises(StepMismatch) as caught:
+        verify_run(_read_trace(handle))
+    assert str(caught.value) == expected
 
 
 @pytest.mark.parametrize("tail", [" x", " {}", "]", ' "rendered"', "\x00"])
