@@ -14,12 +14,14 @@ follows one decimal rule, ``-?[0-9]+``. Only ``main`` lifts CPython's
 int<->str limit: for argument parsing and for every subcommand but ``verify``.
 
 ``verify`` reads a trace into ``descent._certify``, the loop that
-``verify_run`` also runs, and keeps only the line handling here. It
-compares each line after the seed with the line ``run`` writes for the
-expected successor of the record before it, and decodes only the lines
-that differ: the seed, summaries and certificates, other JSON layouts and
-forgeries. Its result is that of ``verify_run(_read_trace(handle))``,
-which decodes every line.
+``verify_run`` also runs, and keeps only the line handling here, in one
+line loop, ``_trace_pairs``. For ``verify`` it compares each line after
+the seed with the line ``run`` writes for the expected successor of the
+record before it, and decodes only the lines that differ: the seed,
+summaries and certificates, other JSON layouts and forgeries. For
+``_read_trace`` it decodes every line and builds no successor, so
+``verify_run(_read_trace(handle))``, whose result ``verify`` gives, is a
+reference that shares no text comparison with it.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .numerals import from_digits, to_digits
 from .sequences import (
     DEFAULT_MAX_BITS,
     DEFAULT_MAX_STEPS,
-    _SUCCESSORS,
     RunConfig,
     RunKind,
     RunOutcome,
@@ -215,92 +216,70 @@ def _check_trailer(obj: dict, lineno: int, last: Optional[StepRecord], k: int, c
         raise GoodsteinError(f"line {lineno}: {what} does not match the {count} records before it")
 
 
-def _parse_line(
-    line: str, lineno: int, last: Optional[StepRecord], k: int, count: int, ended: bool
-) -> Optional[StepRecord]:
-    """Decode a stripped trace line: its record, or None for a summary or certificate line.
+def _trace_pairs(
+    handle: TextIO, kind: Optional[RunKind]
+) -> Iterator[tuple[StepRecord, Optional[StepRecord]]]:
+    """Yield each record of a JSONL trace with its expected record, one line at a time.
 
-    A summary or certificate line must agree with the ``count`` records
-    before it, the last of which is ``last`` and the first of which has
-    ``k`` digits. No record may follow one, that is, come once ``ended``.
+    With a ``kind``, each line after the seed is first compared with the
+    line ``run`` writes for the expected ``kind`` successor of the record
+    before it. A line that equals it is that expected record and is not
+    decoded; any other line is. With ``kind=None`` every line is decoded
+    and no successor is built, so the expected record is None. A run
+    summary or certificate line must agree with the records before it, and
+    no record may follow one. The first problem in file order decides.
     """
-    try:
-        obj, end = _DECODER.raw_decode(line)
-    except (ValueError, RecursionError):
-        end = None
-    if end != len(line):  # the line is stripped: any text after the value is invalid
-        raise GoodsteinError(f"line {lineno}: not valid JSON")
-    if isinstance(obj, dict) and obj.keys() in _NON_RECORD_KEYS:
-        _check_trailer(obj, lineno, last, k, count)
-        return None
-    try:
-        record = _record_from_json(obj)
-    except (KeyError, ValueError) as exc:
-        raise GoodsteinError(f"line {lineno}: bad record ({exc})") from None
-    if ended:
-        raise GoodsteinError(f"line {lineno}: a record follows the run summary or certificate")
-    return record
+    prev, k, count, ended = None, 0, 0, False
+    for lineno, line in enumerate(handle, 1):
+        line = line.strip()
+        if not line:
+            continue
+        nxt = expected = None
+        if kind is not None and prev is not None and not ended:
+            # a line of L characters spells fewer than 4 * L bits
+            expected = _successor_record(prev, kind, 4 * len(line))
+            try:
+                if expected is not None and line == _record_json(expected):
+                    nxt = expected
+            except ValueError:  # text past the int<->str limit matches no line
+                pass
+        if nxt is None:
+            try:
+                obj, end = _DECODER.raw_decode(line)
+            except (ValueError, RecursionError):
+                end = None
+            if end != len(line):  # the line is stripped: any text after the value is invalid
+                raise GoodsteinError(f"line {lineno}: not valid JSON")
+            if isinstance(obj, dict) and obj.keys() in _NON_RECORD_KEYS:
+                _check_trailer(obj, lineno, prev, k, count)
+                ended = True
+                continue
+            try:
+                nxt = _record_from_json(obj)
+            except (KeyError, ValueError) as exc:
+                raise GoodsteinError(f"line {lineno}: bad record ({exc})") from None
+            if ended:
+                raise GoodsteinError(
+                    f"line {lineno}: a record follows the run summary or certificate"
+                )
+        if count == 0:
+            k = len(nxt.digits)
+        prev, count = nxt, count + 1
+        yield nxt, expected
 
 
 def _read_trace(handle: TextIO) -> Iterator[StepRecord]:
     """Yield the records of a JSONL trace one line at a time, decoding every line.
 
-    A run summary or certificate line must agree with the records before it,
-    and no record may follow it. ``verify_run(_read_trace(handle))`` is the
-    reference for ``_verify_trace``, which feeds the same checks with fewer
-    decodes.
+    ``verify_run(_read_trace(handle))`` is the reference for
+    ``_verify_trace``, which reads the same lines with fewer decodes.
     """
-    last, k, count, ended = None, 0, 0, False
-    for lineno, line in enumerate(handle, 1):
-        line = line.strip()
-        if not line:
-            continue
-        record = _parse_line(line, lineno, last, k, count, ended)
-        if record is None:
-            ended = True
-            continue
-        if count == 0:
-            k = len(record.digits)
-        last, count = record, count + 1
-        yield last
+    return (record for record, _ in _trace_pairs(handle, None))
 
 
 def _verify_trace(handle: TextIO) -> DescentCertificate:
-    """Check a JSONL weak trace as ``verify_run(_read_trace(handle))`` does, line by line.
-
-    Each line after the seed is first compared with the line ``run`` writes
-    for the expected successor of the record before it. A line that equals
-    it is handed to ``_certify`` as that expected record, so only its
-    descent is checked; any other line is decoded. The first problem in
-    file order decides.
-    """
-
-    def pairs() -> Iterator[tuple[StepRecord, Optional[StepRecord]]]:
-        successor, prev, k, count, ended = _SUCCESSORS[RunKind.WEAK], None, 0, 0, False
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            nxt = expected = None
-            if prev is not None and not ended:
-                # a line of L characters spells fewer than 4 * L bits
-                expected = _successor_record(prev, successor, 4 * len(line))
-                try:
-                    if expected is not None and line == _record_json(expected):
-                        nxt = expected
-                except ValueError:  # text past the int<->str limit matches no line
-                    pass
-            if nxt is None:
-                nxt = _parse_line(line, lineno, prev, k, count, ended)
-                if nxt is None:
-                    ended = True
-                    continue
-            if count == 0:
-                k = len(nxt.digits)
-            prev, count = nxt, count + 1
-            yield nxt, expected
-
-    return _certify(pairs(), RunKind.WEAK)
+    """Check a JSONL weak trace as ``verify_run(_read_trace(handle))`` does, line by line."""
+    return _certify(_trace_pairs(handle, RunKind.WEAK), RunKind.WEAK)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

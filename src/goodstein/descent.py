@@ -16,18 +16,19 @@ predecessor, the one ``sequences.run`` takes, and then descend in the
 kind's order; for weak and decreasing runs that bounds every record's
 length by the seed's. A certificate keeps the seed, its digit count and
 one pivot per step. One loop, ``_certify``, checks the records that both
-``verify_run`` and ``goodstein verify`` read.
+``verify_run`` and ``goodstein verify`` read, and one function, ``_step``,
+checks each pair of them: ``check_step`` is that function on one pair.
 """
 
 from __future__ import annotations
 
 from itertools import compress, count
 from operator import ne
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ArityExceeded, DomainError, EmptyRun, MagnitudeCapExceeded, StepMismatch
 from .hereditary import HereditaryTree, build_from_digits
-from .numerals import CUT, Digits, _check_digits, render, to_digits
+from .numerals import CUT, _check_digits, render, to_digits
 from .sequences import _SUCCESSORS, RunKind, StepRecord, _record
 
 
@@ -80,16 +81,14 @@ def check_step(prev: StepRecord, nxt: StepRecord, kind: RunKind = RunKind.WEAK) 
     the hereditary trees (strong) differ.
     """
     expected = None
-    if nxt.index == prev.index + 1:  # else _check_pair reports the index first
+    if nxt.index == prev.index + 1:  # else _step reports the index first
         _check_digits(prev.digits, prev.base)
-        expected = _successor_record(prev, _SUCCESSORS[kind], (nxt.value + 1).bit_length())
-    return _check_pair(prev, nxt, kind, expected)[0]
+        expected = _successor_record(prev, kind, (nxt.value + 1).bit_length())
+    return _step(prev, nxt, kind, expected)[0]
 
 
-def _successor_record(
-    prev: StepRecord, successor: Callable[[Digits, int, int], tuple[int, Digits, int]], cap: int
-) -> Optional[StepRecord]:
-    """The record ``successor`` makes of ``prev``, whose digits are in range, under ``cap`` bits.
+def _successor_record(prev: StepRecord, kind: RunKind, cap: int) -> Optional[StepRecord]:
+    """The ``kind`` successor record of ``prev``, whose digits are in range, under ``cap`` bits.
 
     None when ``prev`` is zero, which has no successor, or when the
     successor is wider than ``cap`` bits. Its ``rendered`` is None when its
@@ -98,16 +97,16 @@ def _successor_record(
     if not any(prev.digits):
         return None
     try:
-        base, digits, value = successor(prev.digits, prev.base, cap)
+        base, digits, value = _SUCCESSORS[kind](prev.digits, prev.base, cap)
     except MagnitudeCapExceeded:
         return None
     try:
         return _record(prev.index + 1, base, value, digits)
-    except ValueError:  # past the int<->str limit: _check_pair renders it if it must
+    except ValueError:  # past the int<->str limit: _step renders it if it must
         return StepRecord(prev.index + 1, base, value, digits, None)
 
 
-def _check_pair(
+def _step(
     prev: StepRecord,
     nxt: StepRecord,
     kind: RunKind,
@@ -118,45 +117,40 @@ def _check_pair(
 
     ``expected`` is ``_successor_record`` of ``prev`` under a cap of
     ``nxt.value + 1``'s bits, so never wider than claimed (any cap will do
-    for weak and decreasing runs, whose successors take none); its
-    rendering is made here if it is None (ValueError past the int<->str
-    limit). A strong pair may take ``prev``'s hereditary tree as
-    ``prev_tree``, as the pair before it returned it. Returns the pivot and
-    ``nxt``'s tree (None for weak and decreasing pairs).
+    for weak and decreasing runs, whose successors take none). A ``nxt``
+    that *is* ``expected`` has only its descent to check; any other has its
+    fields compared first, and ``expected``'s rendering is made here if it
+    is None (ValueError past the int<->str limit). A strong pair may take
+    ``prev``'s hereditary tree as ``prev_tree``, as the pair before it
+    returned it. Returns the pivot and ``nxt``'s tree (None for weak and
+    decreasing pairs).
     """
-    if nxt.index != prev.index + 1:
-        raise StepMismatch(nxt.index, f"record index {nxt.index} does not follow {prev.index}")
-    if not any(prev.digits):
-        raise StepMismatch(nxt.index, "predecessor value is already zero")
-    _, base, value, digits, rendered = expected or (None,) * 5
-    if nxt != expected:  # name the first field that differs
-        if nxt.value != value and nxt.digits != digits:
-            raise StepMismatch(
-                nxt.index, f"value {nxt.value} is not a {kind.value} successor of {prev.value}"
-            )
-        if nxt.value != value or nxt.digits != digits:
-            spelled = f"digits {list(nxt.digits)} do not spell value {nxt.value} in base {base}"
-            raise StepMismatch(nxt.index, spelled)
-        if nxt.base != base:
-            raise StepMismatch(nxt.index, f"base {nxt.base} does not follow base {prev.base}")
-        if rendered is None:  # the base is past the int<->str limit
-            rendered = render(digits, base)
-        if nxt.rendered != rendered:
-            raise StepMismatch(nxt.index, f"rendered {nxt.rendered!r} does not match the digits")
-    return _descend(prev, expected, kind, prev_tree)
-
-
-def _descend(
-    prev: StepRecord, nxt: StepRecord, kind: RunKind, prev_tree: Optional[HereditaryTree] = None
-) -> tuple[int, Optional[HereditaryTree]]:
-    """The pivot of the step from ``prev`` to its ``kind`` successor ``nxt``, and ``nxt``'s tree.
-
-    Raises StepMismatch unless the step descends in ``kind``'s order.
-    """
-    tree, digits = None, nxt.digits
+    if nxt is not expected:
+        if nxt.index != prev.index + 1:
+            raise StepMismatch(nxt.index, f"record index {nxt.index} does not follow {prev.index}")
+        if not any(prev.digits):
+            raise StepMismatch(nxt.index, "predecessor value is already zero")
+        _, base, value, digits, rendered = expected or (None,) * 5
+        if nxt != expected:  # name the first field that differs
+            if nxt.value != value and nxt.digits != digits:
+                raise StepMismatch(
+                    nxt.index, f"value {nxt.value} is not a {kind.value} successor of {prev.value}"
+                )
+            if nxt.value != value or nxt.digits != digits:
+                spelled = f"digits {list(nxt.digits)} do not spell value {nxt.value} in base {base}"
+                raise StepMismatch(nxt.index, spelled)
+            if nxt.base != base:
+                raise StepMismatch(nxt.index, f"base {nxt.base} does not follow base {prev.base}")
+            if rendered is None:  # the base is past the int<->str limit
+                rendered = render(digits, base)
+            if nxt.rendered != rendered:
+                unrendered = f"rendered {nxt.rendered!r} does not match the digits"
+                raise StepMismatch(nxt.index, unrendered)
+    # nxt now matches expected, whose digits are the successor's own tuple
+    tree, digits = None, expected.digits
     if kind is RunKind.STRONG:
         before = build_from_digits(prev.digits, prev.base) if prev_tree is None else prev_tree
-        after = tree = build_from_digits(digits, nxt.base)
+        after = tree = build_from_digits(digits, expected.base)
         order = "hereditary trees do not descend in Cantor normal form order"
     else:
         # zero-padded to one width, canonical digits compare length-first as tuples
@@ -179,8 +173,8 @@ def _certify(
     """Check a ``kind`` run given as pairs of a record and its expected record.
 
     That is ``_successor_record`` of the record before, checked by the time
-    the pair is drawn (None for the seed, which is checked on its own). A
-    record that *is* its expected record has only its descent to check.
+    the pair is drawn (None for the seed, which is checked on its own).
+    Each later pair is one ``_step``.
     """
     stream = iter(pairs)
     first, _ = next(stream, (None, None))
@@ -189,10 +183,7 @@ def _certify(
     _check_record(first)
     prev, tree, evidence = first, None, []
     for nxt, expected in stream:
-        if nxt is expected:
-            pivot, tree = _descend(prev, nxt, kind, tree)
-        else:
-            pivot, tree = _check_pair(prev, nxt, kind, expected, tree)
+        pivot, tree = _step(prev, nxt, kind, expected, tree)
         evidence.append(pivot)
         prev = nxt
     return DescentCertificate(start=first, k=len(first.digits), evidence=tuple(evidence))
@@ -209,10 +200,10 @@ def verify_run(records: Iterable[StepRecord], kind: RunKind = RunKind.WEAK) -> D
     """
 
     def pairs() -> Iterator[tuple[StepRecord, Optional[StepRecord]]]:
-        successor, prev = _SUCCESSORS[kind], None
+        prev = None
         for nxt in records:
             cap = (nxt.value + 1).bit_length()
-            yield nxt, None if prev is None else _successor_record(prev, successor, cap)
+            yield nxt, None if prev is None else _successor_record(prev, kind, cap)
             prev = nxt
 
     return _certify(pairs(), kind)

@@ -862,6 +862,24 @@ def test_verify_decodes_only_the_seed_and_trailer_lines_of_a_genuine_trace(capsy
     assert decoded == [trace.splitlines()[i] for i in (0, -2, -1)]
 
 
+def test_the_reference_reader_builds_no_successor(capsys, monkeypatch):
+    # decode_every_line stays independent of the text comparison it is the reference for
+    code, trace, _ = run_cli(
+        capsys, "run", "weak", "--start", "12", "--max-steps", "300", "--format", "jsonl",
+        "--verify",
+    )
+    assert code == 0
+
+    def refuse(digits, base, max_bits):
+        raise AssertionError("the reference reader built a successor")
+
+    for kind in list(_SUCCESSORS):
+        monkeypatch.setitem(_SUCCESSORS, kind, refuse)
+    records = list(_read_trace(io.StringIO(trace)))
+    assert len(records) == 300
+    assert records == [_record_from_json(json.loads(line)) for line in trace.splitlines()[:-2]]
+
+
 def test_verify_hands_over_between_relaid_and_canonical_lines(capsys):
     lines = jsonl_trace(capsys, 12, 40).splitlines()
     canonical = verify_outcome("\n".join(lines) + "\n")

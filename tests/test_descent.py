@@ -3,7 +3,7 @@ import time
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from goodstein import descent
@@ -404,6 +404,40 @@ def test_strong_evidence_is_the_first_differing_term():
     records = kind_records(RunKind.STRONG, 3, 10)
     assert [r.rendered for r in records[:4]] == ["11_2", "10_3", "3_4", "2_5"]
     assert verify_run(records, RunKind.STRONG).evidence[:3] == (1, 0, 0)
+
+
+def closed_form_pivot(kind, prev):
+    """A genuine step's pivot, without a scan: the predecessor's last nonzero digit
+    (weak and decreasing), or its last top-level term (strong)."""
+    nonzero = [i for i, digit in enumerate(prev.digits) if digit]
+    return len(nonzero) - 1 if kind is RunKind.STRONG else nonzero[-1]
+
+
+# every position of the strong seed is below its base, so no term moves and
+# its trees keep more than CUT top-level terms
+WIDE_STRONG_SEED = (RunKind.STRONG, from_digits([7] * (CUT + 6), 100), 100)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    seed=st.one_of(
+        st.tuples(st.sampled_from(list(RunKind)), st.integers(1, 200), st.integers(2, 6)),
+        st.tuples(
+            st.sampled_from([RunKind.WEAK, RunKind.DECREASING]),
+            st.integers(2**CUT, 2 ** (CUT + 8)),
+            st.just(2),
+        ),
+        st.just(WIDE_STRONG_SEED),
+    )
+)
+@example(seed=(RunKind.WEAK, 2**CUT, 2))
+@example(seed=(RunKind.DECREASING, 2 ** (CUT + 8), 2))
+@example(seed=WIDE_STRONG_SEED)
+def test_a_genuine_pivot_has_a_closed_form(seed):
+    kind, start, start_base = seed
+    records = kind_records(kind, start, 30, start_base)
+    cert = verify_run(records, kind)
+    assert cert.evidence == tuple(closed_form_pivot(kind, prev) for prev in records[:-1])
 
 
 def test_decreasing_traces_verify():
