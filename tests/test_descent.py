@@ -1,4 +1,5 @@
 import pickle
+import sys
 import time
 from itertools import product
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from goodstein import descent
 from goodstein.descent import check_step, rank, verify_run
 from goodstein.errors import (
-    ArityExceeded, DigitOutOfRange, EmptyRun, MagnitudeCapExceeded, StepMismatch
+    ArityExceeded, DigitOutOfRange, EmptyRun, GoodsteinError, MagnitudeCapExceeded, StepMismatch
 )
 from goodstein.hereditary import build_from_digits
 from goodstein.numerals import CUT, Ordering, from_digits, lex_compare, render, to_digits
@@ -297,6 +298,25 @@ def test_verify_run_two_records():
     assert cert.all_steps_descend
     assert len(cert.evidence) == 1
     assert cert.k == 1
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="needs CPython's int<->str limit"
+)
+def test_verify_run_of_a_base_past_the_int_str_limit_raises_value_error():
+    # the expected successor's base 10**4300 has no decimal text under the
+    # default limit, so _step renders it itself and render raises
+    previous = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        records = weak_records(1, 10, start_base=10**4300 - 1)
+        assert [(r.base, r.value) for r in records] == [(10**4300 - 1, 1), (10**4300, 0)]
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        with pytest.raises(ValueError) as raised:
+            verify_run(records)
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert not isinstance(raised.value, GoodsteinError)
 
 
 def test_certificate_is_an_immutable_tuple_of_its_fields():

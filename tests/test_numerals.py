@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -5,7 +7,9 @@ from hypothesis import strategies as st
 from goodstein.errors import DigitOutOfRange, DomainError, InvalidBase, Underflow
 from goodstein.numerals import (
     CUT,
+    DIV_LIMIT,
     Ordering,
+    _divmod,
     decrement_in_base,
     from_digits,
     lex_compare,
@@ -197,6 +201,56 @@ def test_to_digits_of_small_values_in_a_100000_bit_base():
     base = 2**100_000 + 1
     for value in (0, 1, 5, 2**99_999, base - 1, base, base + 1, base * (base - 1)):
         assert to_digits(value, base) == digits_by_divmod(value, base)
+
+
+@pytest.mark.parametrize(
+    "value, base",
+    [(3**70_000 + 12_345, 250), (2**150_000 - 1, 10), (7**70_000 + 7**35_000, 2**64 + 13)],
+    ids=["3^70000+12345", "2^150000-1", "7^70000+7^35000"],
+)
+def test_to_digits_of_values_past_the_recursive_division_limit(value, base):
+    # 1e5 to 2e5 bits: the top splits divide by recursion, not by the builtin
+    assert to_digits(value, base) == digits_by_divmod(value, base)
+
+
+# --- _divmod -------------------------------------------------------------------
+
+DIVISOR_WIDTHS = st.sampled_from(
+    [1, 2, DIV_LIMIT - 1, DIV_LIMIT, DIV_LIMIT + 1, 2 * DIV_LIMIT + 1, 2 * DIV_LIMIT + 2]
+) | st.integers(1, 60_000)
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), width=DIVISOR_WIDTHS, shape=st.sampled_from(["below", "near", "any"]))
+def test_divmod_matches_the_builtin(data, width, shape):
+    # to_digits divides a block below power**2 by power; odd widths take
+    # the pad branch, random divisors the correction loop
+    b = data.draw(st.integers(2 ** (width - 1), 2**width - 1))
+    if shape == "below":
+        a = data.draw(st.integers(0, b - 1))
+    elif shape == "near":
+        a = b * b - 1 - data.draw(st.integers(0, b))
+    else:
+        a = data.draw(st.integers(0, b * b - 1))
+    assert _divmod(a, b) == divmod(a, b)
+
+
+@pytest.mark.parametrize("width", [2 * DIV_LIMIT + 1, 2 * DIV_LIMIT + 2, 33_333])
+def test_divmod_of_the_widest_quotient_by_all_ones(width):
+    # the top half of the dividend equals the divisor's, the quotient estimate's own branch
+    b = 2**width - 1
+    a = b * b - 1
+    assert _divmod(a, b) == divmod(a, b) == (b - 1, b - 1)
+
+
+def test_divmod_of_seeded_random_operands():
+    # a random divisor's low half makes the quotient estimate too large,
+    # the correction loop's case
+    rng = random.Random(21)
+    for width in (DIV_LIMIT + 1, 2 * DIV_LIMIT + 1, 2 * DIV_LIMIT + 2, 20_001, 60_000):
+        b = rng.getrandbits(width) | 1 << (width - 1)
+        a = rng.randrange(b * b)
+        assert _divmod(a, b) == divmod(a, b)
 
 
 # --- decrement_in_base ---------------------------------------------------------
