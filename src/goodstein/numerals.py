@@ -65,9 +65,10 @@ def to_digits(value: int, base: int) -> Digits:
     multiplications, where CPython 3.11's builtin ``divmod`` is quadratic:
     a 1e6-bit value in base 250 takes 0.22-0.30 s instead of 1.05-1.17 s,
     a 4e6-bit value 2.1-2.6 s instead of 16.3 s (2-vCPU x86_64, CPython
-    3.11.7). Quotients of at most ``DIV_LIMIT`` bits go to the builtin.
-    On 3.12 and later the builtin runs this same recursion, in Python
-    too, for divisions this wide, so no version check is needed.
+    3.11.7). Quotients of at most ``DIV_LIMIT`` bits go to the builtin,
+    and so do whole levels whose power is no wider. On 3.12 and later
+    the builtin runs this same recursion, in Python too, for divisions
+    this wide, so no version check is needed.
     """
     _check_base(base)
     if value < 0:
@@ -87,7 +88,8 @@ def to_digits(value: int, base: int) -> Digits:
     # stands for exactly CUT * 2**k digits; a zero first block is dropped
     blocks = [value]
     for power in reversed(ladder):
-        blocks = [part for block in blocks for part in _divmod(block, power)]
+        split = _divmod if power.bit_length() > DIV_LIMIT else divmod
+        blocks = [part for block in blocks for part in split(block, power)]
         if not blocks[0]:
             del blocks[0]
     out: list[int] = []
