@@ -27,7 +27,8 @@ Digits = tuple[int, ...]
 CUT = 64
 
 # ``_divmod`` hands a quotient of at most this many bits to the builtin
-# ``divmod``; limits from 2,000 to 8,000 bits time within 5% of each other.
+# ``divmod``. CPython 3.12's ``_pylong`` uses the same limit; on a 1e6-bit
+# value, limits of 2,000 and 8,000 bits time the same within noise.
 DIV_LIMIT = 4000
 
 
@@ -63,8 +64,8 @@ def to_digits(value: int, base: int) -> Digits:
     division (MPI-I-98-1-022, 1998), which ``_divmod`` runs as CPython
     3.12's ``_pylong.int_divmod`` does (gh-90716). It costs a few
     multiplications, where CPython 3.11's builtin ``divmod`` is quadratic:
-    a 1e6-bit value in base 250 takes 0.22-0.30 s instead of 1.05-1.17 s,
-    a 4e6-bit value 2.1-2.6 s instead of 16.3 s (2-vCPU x86_64, CPython
+    a 1e6-bit value in base 250 takes 0.22-0.27 s instead of 0.97-1.05 s,
+    a 4e6-bit value 1.9-2.1 s instead of 15.4 s (2-vCPU x86_64, CPython
     3.11.7). Quotients of at most ``DIV_LIMIT`` bits go to the builtin,
     and so do whole levels whose power is no wider. On 3.12 and later
     the builtin runs this same recursion, in Python too, for divisions

@@ -229,7 +229,7 @@ def test_divmod_matches_the_builtin(data, width, shape):
     if shape == "below":
         a = data.draw(st.integers(0, b - 1))
     elif shape == "near":
-        a = b * b - 1 - data.draw(st.integers(0, b))
+        a = b * b - 1 - data.draw(st.integers(0, b - 1))
     else:
         a = data.draw(st.integers(0, b * b - 1))
     assert _divmod(a, b) == divmod(a, b)
