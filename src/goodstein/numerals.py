@@ -66,10 +66,9 @@ def to_digits(value: int, base: int) -> Digits:
     multiplications, where CPython 3.11's builtin ``divmod`` is quadratic:
     a 1e6-bit value in base 250 takes 0.22-0.27 s instead of 0.97-1.05 s,
     a 4e6-bit value 1.9-2.1 s instead of 15.4 s (2-vCPU x86_64, CPython
-    3.11.7). Quotients of at most ``DIV_LIMIT`` bits go to the builtin,
-    and so do whole levels whose power is no wider. On 3.12 and later
-    the builtin runs this same recursion, in Python too, for divisions
-    this wide, so no version check is needed.
+    3.11.7). Quotients of at most ``DIV_LIMIT`` bits go to the builtin.
+    On 3.12 and later the builtin runs this same recursion, in Python
+    too, for divisions this wide, so no version check is needed.
     """
     _check_base(base)
     if value < 0:
@@ -89,8 +88,7 @@ def to_digits(value: int, base: int) -> Digits:
     # stands for exactly CUT * 2**k digits; a zero first block is dropped
     blocks = [value]
     for power in reversed(ladder):
-        split = _divmod if power.bit_length() > DIV_LIMIT else divmod
-        blocks = [part for block in blocks for part in split(block, power)]
+        blocks = [part for block in blocks for part in _divmod(block, power)]
         if not blocks[0]:
             del blocks[0]
     out: list[int] = []
@@ -101,20 +99,15 @@ def to_digits(value: int, base: int) -> Digits:
 
 
 def _divmod(a: int, b: int) -> tuple[int, int]:
-    """``divmod(a, b)`` for ``0 <= a < b*b``, by recursive division above ``DIV_LIMIT``.
+    """``divmod(a, b)`` for ``0 <= a < 2**n * b``, where ``b`` has ``n`` bits.
 
-    ``a < b*b`` implies ``a < 2**n * b`` for the ``n`` bits of ``b``, the
-    precondition of the 2n-by-n division below.
+    Burnikel & Ziegler's 2n-by-n division, *Fast Recursive Division*,
+    MPI-I-98-1-022, 1998, as in CPython 3.12's ``_pylong.int_divmod``
+    (gh-90716): the dividend is divided as two 3n/2-by-n halves, down to
+    quotients of at most ``DIV_LIMIT`` bits, which go to the builtin.
+    ``to_digits`` meets the precondition, as ``a < b*b <= 2**n * b``.
     """
-    return _div2n1n(a, b, b.bit_length())
-
-
-def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
-    """Divide ``0 <= a < 2**n * b`` by the ``n``-bit ``b`` as two 3n/2-by-n halves.
-
-    Burnikel & Ziegler, *Fast Recursive Division*, MPI-I-98-1-022, 1998,
-    as in CPython 3.12's ``_pylong.int_divmod`` (gh-90716).
-    """
+    n = b.bit_length()
     if a.bit_length() - n <= DIV_LIMIT:
         return divmod(a, b)
     pad = n & 1
@@ -141,7 +134,7 @@ def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, n: int) -> tuple[int, 
     if a12 >> n == b1:
         q, r = (1 << n) - 1, a12 - (b1 << n) + b1
     else:
-        q, r = _div2n1n(a12, b1, n)
+        q, r = _divmod(a12, b1)
     r = (r << n | a3) - q * b2
     while r < 0:
         q -= 1
