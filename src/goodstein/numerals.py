@@ -64,9 +64,9 @@ def to_digits(value: int, base: int) -> Digits:
     division (MPI-I-98-1-022, 1998), which ``_divmod`` runs as CPython
     3.12's ``_pylong.int_divmod`` does (gh-90716). It costs a few
     multiplications, where CPython 3.11's builtin ``divmod`` is quadratic:
-    a 1e6-bit value in base 250 takes 0.22-0.27 s instead of 0.97-1.05 s,
-    a 4e6-bit value 1.9-2.1 s instead of 15.4 s (2-vCPU x86_64, CPython
-    3.11.7). Quotients of at most ``DIV_LIMIT`` bits go to the builtin.
+    a 1e6-bit value in base 250 takes 0.22-0.40 s instead of 0.97-1.16 s,
+    a 4e6-bit value 1.9-2.3 s instead of 15.4-16.3 s (2-vCPU x86_64,
+    CPython 3.11.7, on a shared host). Quotients of at most ``DIV_LIMIT`` bits go to the builtin.
     On 3.12 and later the builtin runs this same recursion, in Python
     too, for divisions this wide, so no version check is needed.
     """
