@@ -117,35 +117,34 @@ def _step(
 
     ``expected`` is ``_successor_record`` of ``prev`` under a cap of
     ``nxt.value + 1``'s bits, so never wider than claimed (any cap will do
-    for weak and decreasing runs, whose successors take none). A ``nxt``
-    that *is* ``expected`` has only its descent to check; any other has its
-    fields compared first, and ``expected``'s rendering is made here if it
+    for weak and decreasing runs, whose successors take none). ``nxt`` is
+    compared with ``expected`` whole, and field by field only when they
+    differ, to name the first; ``expected``'s rendering is made here if it
     is None (ValueError past the int<->str limit). A strong pair may take
     ``prev``'s hereditary tree as ``prev_tree``, as the pair before it
     returned it. Returns the pivot and ``nxt``'s tree (None for weak and
     decreasing pairs).
     """
-    if nxt is not expected:
-        if nxt.index != prev.index + 1:
-            raise StepMismatch(nxt.index, f"record index {nxt.index} does not follow {prev.index}")
-        if not any(prev.digits):
-            raise StepMismatch(nxt.index, "predecessor value is already zero")
-        _, base, value, digits, rendered = expected or (None,) * 5
-        if nxt != expected:  # name the first field that differs
-            if nxt.value != value and nxt.digits != digits:
-                raise StepMismatch(
-                    nxt.index, f"value {nxt.value} is not a {kind.value} successor of {prev.value}"
-                )
-            if nxt.value != value or nxt.digits != digits:
-                spelled = f"digits {list(nxt.digits)} do not spell value {nxt.value} in base {base}"
-                raise StepMismatch(nxt.index, spelled)
-            if nxt.base != base:
-                raise StepMismatch(nxt.index, f"base {nxt.base} does not follow base {prev.base}")
-            if rendered is None:  # the base is past the int<->str limit
-                rendered = render(digits, base)
-            if nxt.rendered != rendered:
-                unrendered = f"rendered {nxt.rendered!r} does not match the digits"
-                raise StepMismatch(nxt.index, unrendered)
+    if nxt.index != prev.index + 1:
+        raise StepMismatch(nxt.index, f"record index {nxt.index} does not follow {prev.index}")
+    if not any(prev.digits):
+        raise StepMismatch(nxt.index, "predecessor value is already zero")
+    _, base, value, digits, rendered = expected or (None,) * 5
+    if nxt != expected:  # name the first field that differs
+        if nxt.value != value and nxt.digits != digits:
+            raise StepMismatch(
+                nxt.index, f"value {nxt.value} is not a {kind.value} successor of {prev.value}"
+            )
+        if nxt.value != value or nxt.digits != digits:
+            spelled = f"digits {list(nxt.digits)} do not spell value {nxt.value} in base {base}"
+            raise StepMismatch(nxt.index, spelled)
+        if nxt.base != base:
+            raise StepMismatch(nxt.index, f"base {nxt.base} does not follow base {prev.base}")
+        if rendered is None:  # the base is past the int<->str limit
+            rendered = render(digits, base)
+        if nxt.rendered != rendered:
+            unrendered = f"rendered {nxt.rendered!r} does not match the digits"
+            raise StepMismatch(nxt.index, unrendered)
     # nxt now matches expected, whose digits are the successor's own tuple
     tree, digits = None, expected.digits
     if kind is RunKind.STRONG:

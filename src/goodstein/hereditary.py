@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import compress, count
 from typing import Iterator
 
-from .errors import CoefficientOutOfRange, DomainError, InvalidBase
+from .errors import CoefficientOutOfRange, InvalidBase
 from .numerals import Digits, to_digits
 
 HereditaryTree = tuple[tuple["HereditaryTree", int], ...]
@@ -36,11 +36,7 @@ def build_hereditary(value: int, base: int) -> HereditaryTree:
     every exponent is itself built recursively. Evaluating the result at
     ``base`` returns ``value``.
     """
-    if base < 2:
-        raise InvalidBase(base)
-    if value < 0:
-        raise DomainError(f"expected a natural number, got {value}")
-    if value < base:
+    if 0 <= value < base and base > 1:  # to_digits checks the base and sign of the rest
         return (((), value),) if value else ()
     return build_from_digits(to_digits(value, base), base)
 

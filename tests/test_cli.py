@@ -504,11 +504,20 @@ SUMMARY_10 = '{"status": "StepCapReached", "steps_emitted": 10}'
         (5, lambda t: t[:11] + ['{"k": 3, "verdict": "ViolationAt", "steps_checked": 9}'],
          "line 12: certificate"),
         (5, lambda t: [SUMMARY_10] + t[:10], "line 1: run summary does not match the 0 records"),
+        (5, lambda t: t[:10] + ['{"status": "StepCapReached", "steps_emitted": NaN}'],
+         "line 11: run summary"),
+        (5, lambda t: t[:10] + ['{"status": "StepCapReached", "steps_emitted": 1E1}'],
+         "line 11: run summary"),
+        (5, lambda t: t[:11] + ['{"k": 3, "verdict": "AllStepsDescend", "steps_checked": 9E0}'],
+         "line 12: certificate"),
+        (1, lambda t: t[:3] + ['{"k": true, "verdict": "AllStepsDescend", "steps_checked": 1}'],
+         "line 4: certificate does not match the 2 records before it"),
     ],
     ids=[
         "forged-steps_emitted", "float-steps_emitted", "forged-status", "forged-status-at-zero",
         "summary-before-the-last-record", "summary-after-record-3", "record-after-summary",
         "forged-k", "forged-steps_checked", "forged-verdict", "summary-before-every-record",
+        "nan-steps_emitted", "exponent-steps_emitted", "exponent-steps_checked", "true-k",
     ],
 )
 def test_verify_checks_the_summary_and_certificate_lines(tmp_path, capsys, start, forge, expected):
@@ -850,14 +859,13 @@ def test_verify_decodes_only_the_seed_and_trailer_lines_of_a_genuine_trace(capsy
     )
     assert code == 0
     decoded = []
-    decoder = cli._DECODER
+    loads = json.loads
 
-    class CountingDecoder:
-        def raw_decode(self, line):
-            decoded.append(line)
-            return decoder.raw_decode(line)
+    def counting_loads(line):
+        decoded.append(line)
+        return loads(line)
 
-    monkeypatch.setattr(cli, "_DECODER", CountingDecoder())
+    monkeypatch.setattr(json, "loads", counting_loads)
     assert verify_outcome(trace) == (0, trace.splitlines()[-1] + "\n", "")
     assert decoded == [trace.splitlines()[i] for i in (0, -2, -1)]
 
@@ -1160,6 +1168,16 @@ def test_main_restores_the_int_str_limit(tmp_path, capsys, argv, expected_code):
         assert (code, sys.get_int_max_str_digits()) == (expected_code, 5000)
     finally:
         sys.set_int_max_str_digits(previous)
+
+
+def test_no_int_str_limit_runs_its_block_on_an_interpreter_without_the_limit(capsys, monkeypatch):
+    # CPython before 3.11 (and before the 3.10.7 backport) has no int<->str limit to lift
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    ran = False
+    with _no_int_str_limit():
+        ran = True
+    assert ran
+    assert run_cli(capsys, "convert", "--to-digits", "25", "--base", "2") == (0, "1 1 0 0 1\n", "")
 
 
 def test_verify_reports_undecodable_trace(tmp_path):

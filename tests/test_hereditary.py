@@ -126,6 +126,11 @@ def test_eval_rejects_oversized_coefficient():
         eval_tree(build_hereditary(7, 8), 4)  # the constant 7 cannot be read in base 4
 
 
+def test_eval_rejects_a_base_below_two():
+    with pytest.raises(InvalidBase):
+        eval_tree(const(1), 1)
+
+
 def test_eval_allows_coefficient_equal_to_base():
     assert eval_tree(const(3), 3) == 3
 
