@@ -316,17 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--base", type=_int_arg, default=2, help="start base (the fixed base for decreasing runs)"
     )
     p.add_argument(
-        "--max-steps",
-        type=_int_arg,
-        default=DEFAULT_MAX_STEPS,
-        help="stop after this many records, the seed included (default %(default)s)",
+        "--max-steps", type=_int_arg, default=DEFAULT_MAX_STEPS, help="stop after this many records"
     )
     p.add_argument(
         "--max-bits",
         type=_int_arg,
         default=DEFAULT_MAX_BITS,
-        help="stop a strong run before a value wider than this many bits (default %(default)s);"
-        " weak and decreasing successors take no magnitude cap",
+        help="stop a strong run before a value wider than this many bits; weak and decreasing"
+        " successors take no magnitude cap",
     )
     p.add_argument("--format", choices=("human", "jsonl", "csv"), default="human")
     p.add_argument(

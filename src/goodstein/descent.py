@@ -117,20 +117,20 @@ def _step(
 
     ``expected`` is ``_successor_record`` of ``prev`` under a cap of
     ``nxt.value + 1``'s bits, so never wider than claimed (any cap will do
-    for weak and decreasing runs, whose successors take none). ``nxt`` is
-    compared with ``expected`` whole, and field by field only when they
-    differ, to name the first; ``expected``'s rendering is made here if it
-    is None (ValueError past the int<->str limit). A strong pair may take
-    ``prev``'s hereditary tree as ``prev_tree``, as the pair before it
-    returned it. Returns the pivot and ``nxt``'s tree (None for weak and
-    decreasing pairs).
+    for weak and decreasing runs, whose successors take none). Only a
+    ``nxt`` that differs from ``expected`` has its index, predecessor and
+    fields checked one by one, to name the first that fails; ``expected``'s
+    rendering is None past the int<->str limit and is then made here. A
+    strong pair may take ``prev``'s hereditary tree as ``prev_tree``, as the
+    pair before it returned it. Returns the pivot and ``nxt``'s tree (None
+    for weak and decreasing pairs).
     """
-    if nxt.index != prev.index + 1:
-        raise StepMismatch(nxt.index, f"record index {nxt.index} does not follow {prev.index}")
-    if not any(prev.digits):
-        raise StepMismatch(nxt.index, "predecessor value is already zero")
-    _, base, value, digits, rendered = expected or (None,) * 5
-    if nxt != expected:  # name the first field that differs
+    if nxt != expected:  # equal records share the index and imply a nonzero predecessor
+        if nxt.index != prev.index + 1:
+            raise StepMismatch(nxt.index, f"record index {nxt.index} does not follow {prev.index}")
+        if not any(prev.digits):
+            raise StepMismatch(nxt.index, "predecessor value is already zero")
+        _, base, value, digits, rendered = expected or (None,) * 5
         if nxt.value != value and nxt.digits != digits:
             raise StepMismatch(
                 nxt.index, f"value {nxt.value} is not a {kind.value} successor of {prev.value}"
