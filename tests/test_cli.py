@@ -1171,7 +1171,7 @@ def test_main_restores_the_int_str_limit(tmp_path, capsys, argv, expected_code):
 
 
 def test_no_int_str_limit_runs_its_block_on_an_interpreter_without_the_limit(capsys, monkeypatch):
-    # CPython before 3.11 (and before the 3.10.7 backport) has no int<->str limit to lift
+    # interpreters older than the int<->str limit (CPython 3.11, backported to 3.10.7) lack it
     monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
     ran = False
     with _no_int_str_limit():
