@@ -12,23 +12,23 @@ certificate.
 The verifier never assumes the property it checks. The seed is checked on
 its own: canonical digits that spell ``value`` in ``base`` and match
 ``rendered``. Every later record must equal the kind's successor of its
-predecessor, the one ``sequences.run`` takes, and then descend in the
-kind's order; for weak and decreasing runs that bounds every record's
-length by the seed's. A certificate keeps the seed, its digit count and
-one pivot per step. One loop, ``_certify``, checks the records that both
+predecessor, the one ``sequences.run`` takes, and then have the shape of
+a borrow: the step lowers the predecessor's last nonzero digit (for a
+strong step, its tree's last top-level term) and keeps every entry above
+it. That closed form implies descent in the kind's order; for weak and
+decreasing runs it bounds every record's length by the seed's. A
+certificate keeps the seed, its digit count and one pivot per step. One loop, ``_certify``, checks the records that both
 ``verify_run`` and ``goodstein verify`` read, and one function, ``_step``,
 checks each pair of them: ``check_step`` is that function on one pair.
 """
 
 from __future__ import annotations
 
-from itertools import compress, count
-from operator import ne
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ArityExceeded, DomainError, EmptyRun, MagnitudeCapExceeded, StepMismatch
 from .hereditary import HereditaryTree, build_from_digits
-from .numerals import CUT, _check_digits, render, to_digits
+from .numerals import _check_digits, render, to_digits
 from .sequences import _SUCCESSORS, RunKind, StepRecord, _record
 
 
@@ -76,9 +76,11 @@ def check_step(prev: StepRecord, nxt: StepRecord, kind: RunKind = RunKind.WEAK) 
     the index advances; ``prev``'s digits are in range (DigitOutOfRange) and
     nonzero; ``nxt``'s value and digits, then base, then rendering are the
     successor's, built under a cap of ``nxt.value + 1``'s bits, so never
-    wider than claimed; the step descends. Returns the first position where
-    the zero-padded digits (weak and decreasing) or the top-level terms of
-    the hereditary trees (strong) differ.
+    wider than claimed; the step descends; it changes no entry above the
+    pivot. Returns the pivot: the index of ``prev``'s last nonzero digit
+    among the digits zero-padded to one width (weak and decreasing), or of
+    the last top-level term of its hereditary tree (strong). That is the
+    first position where the step's digits or terms differ.
     """
     expected = None
     if nxt.index == prev.index + 1:  # else _step reports the index first
@@ -122,8 +124,16 @@ def _step(
     fields checked one by one, to name the first that fails; ``expected``'s
     rendering is None past the int<->str limit and is then made here. A
     strong pair may take ``prev``'s hereditary tree as ``prev_tree``, as the
-    pair before it returned it. Returns the pivot and ``nxt``'s tree (None
-    for weak and decreasing pairs).
+    pair before it returned it.
+
+    The pivot is not searched for: it is the closed form of a borrow, proven
+    with one prefix comparison and one entry comparison. Entries above the
+    pivot are equal, and the pivot's entry drops, or, for a strong step
+    that drops its units term 1, ``nxt``'s tree ends there. Zeros pad the
+    digits only on a step that changes their length. A pair that fails
+    this check is refused by its order if it does not descend, else by the
+    first entry it changes above the pivot. Returns the pivot and ``nxt``'s
+    tree (None for weak and decreasing pairs).
     """
     if nxt != expected:  # equal records share the index and imply a nonzero predecessor
         if nxt.index != prev.index + 1:
@@ -146,24 +156,29 @@ def _step(
             unrendered = f"rendered {nxt.rendered!r} does not match the digits"
             raise StepMismatch(nxt.index, unrendered)
     # nxt now matches expected, whose digits are the successor's own tuple
-    tree, digits = None, expected.digits
+    tree = None
     if kind is RunKind.STRONG:
         before = build_from_digits(prev.digits, prev.base) if prev_tree is None else prev_tree
-        after = tree = build_from_digits(digits, expected.base)
+        after = tree = build_from_digits(expected.digits, expected.base)
+        pivot = len(before) - 1
         order = "hereditary trees do not descend in Cantor normal form order"
+        shape = "the step changes term {}, above the last term {} it lowers"
     else:
-        # zero-padded to one width, canonical digits compare length-first as tuples
-        shortfall = len(prev.digits) - len(digits)
-        before, after = (0,) * -shortfall + tuple(prev.digits), (0,) * shortfall + digits
+        before, after = tuple(prev.digits), expected.digits
+        if len(before) != len(after):  # canonical digits compare length-first, so zero-pad them
+            shortfall = len(before) - len(after)
+            before, after = (0,) * -shortfall + before, (0,) * shortfall + after
+        pivot = len(before) - 1
+        while not before[pivot]:
+            pivot -= 1
         order = "digits do not descend in length-first lexicographic order"
+        shape = "the step changes digit {}, above the last nonzero digit {} it lowers"
+    if after[:pivot] == before[:pivot] and (len(after) == pivot or after[pivot] < before[pivot]):
+        return pivot, tree
     if after >= before:
         raise StepMismatch(nxt.index, order)
-    if len(after) > CUT:  # a long scan runs in C; below CUT the loop costs less than the iterators
-        return next(compress(count(), map(ne, after, before)), len(after)), tree
-    pivot = 0
-    while pivot < len(after) and after[pivot] == before[pivot]:
-        pivot += 1
-    return pivot, tree
+    changed = next(i for i, (a, b) in enumerate(zip(after, before)) if a != b)
+    raise StepMismatch(nxt.index, shape.format(changed, pivot))
 
 
 def _certify(
