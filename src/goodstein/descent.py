@@ -17,9 +17,10 @@ a borrow: the step lowers the predecessor's last nonzero digit (for a
 strong step, its tree's last top-level term) and keeps every entry above
 it. That closed form implies descent in the kind's order; for weak and
 decreasing runs it bounds every record's length by the seed's. A
-certificate keeps the seed, its digit count and one pivot per step. One loop, ``_certify``, checks the records that both
-``verify_run`` and ``goodstein verify`` read, and one function, ``_step``,
-checks each pair of them: ``check_step`` is that function on one pair.
+certificate keeps the seed, its digit count and one pivot per step. One
+loop, ``_certify``, checks the records that both ``verify_run`` and
+``goodstein verify`` read, and one function, ``_step``, checks each pair
+of them: ``check_step`` is that function on one pair.
 """
 
 from __future__ import annotations
@@ -165,8 +166,8 @@ def _step(
         shape = "the step changes term {}, above the last term {} it lowers"
     else:
         before, after = tuple(prev.digits), expected.digits
-        if len(before) != len(after):  # canonical digits compare length-first, so zero-pad them
-            shortfall = len(before) - len(after)
+        shortfall = len(before) - len(after)
+        if shortfall:  # canonical digits compare length-first, so zero-pad them to one width
             before, after = (0,) * -shortfall + before, (0,) * shortfall + after
         pivot = len(before) - 1
         while not before[pivot]:

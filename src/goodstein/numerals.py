@@ -23,7 +23,7 @@ Digits = tuple[int, ...]
 
 # Radix conversion works on blocks of at most this many digits: each is
 # converted digit by digit, and a sequence this short is evaluated by
-# Horner's rule alone. ``descent``'s pivot scan keys on it too.
+# Horner's rule alone.
 CUT = 64
 
 # ``_divmod`` hands a quotient of at most this many bits to the builtin

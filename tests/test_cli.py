@@ -15,7 +15,7 @@ from goodstein.cli import _no_int_str_limit, _read_trace, _record_from_json, _re
 from goodstein.descent import verify_run
 from goodstein.errors import StepMismatch
 from goodstein.numerals import CUT
-from goodstein.sequences import _SUCCESSORS, RunKind, StepRecord
+from goodstein.sequences import _SUCCESSORS, RunConfig, RunKind, StepRecord, run_collected
 
 
 def run_cli(capsys, *argv):
@@ -384,6 +384,31 @@ def test_verify_rejects_a_step_that_does_not_descend(tmp_path, capsys, monkeypat
     assert code == 4
     assert out == ""
     assert err == "error: step 1: digits do not descend in length-first lexicographic order\n"
+
+
+def test_a_wrong_successor_that_still_descends_is_refused(tmp_path, capsys, monkeypatch):
+    # a weak successor that also lowers the leading digit keeps digits, value and
+    # rendering consistent and still descends, so only the step's shape shows it:
+    # from 10 it takes 1000_5 -> 455_6 (nothing above the pivot 0), then 455_6 -> 354_7
+    weak = _SUCCESSORS[RunKind.WEAK]
+
+    def lowered_lead(digits, base, max_bits):
+        new_base, successor, value = weak(digits, base, max_bits)
+        if len(successor) > 1 and successor[0] > 1:
+            successor = (successor[0] - 1,) + successor[1:]
+            value -= new_base ** (len(successor) - 1)
+        return new_base, successor, value
+
+    monkeypatch.setitem(_SUCCESSORS, RunKind.WEAK, lowered_lead)
+    message = "step 5: the step changes digit 0, above the last nonzero digit 2 it lowers"
+    records, _ = run_collected(RunKind.WEAK, RunConfig(10, max_steps=8))
+    assert [r.rendered for r in records[3:6]] == ["1000_5", "455_6", "354_7"]
+    with pytest.raises(StepMismatch, match=f"^{message}$"):
+        verify_run(records)
+    path = tmp_path / "wrong.jsonl"
+    path.write_text(jsonl_trace(capsys, 10, 8))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert (code, out, err) == (4, "", f"error: {message}\n")
 
 
 def test_verify_empty_input(tmp_path, capsys):

@@ -108,6 +108,31 @@ def test_check_step_rejects_a_strong_step_that_does_not_descend(monkeypatch):
     assert exc.value.index == 1
 
 
+@pytest.mark.parametrize(
+    "kind, prev, nxt, message",
+    [
+        # 455_6 -> 354_7: the borrow from the units digit also lowered the leading digit
+        (
+            RunKind.WEAK, make_record(0, 6, 179), make_record(1, 7, 186),
+            "digit 0, above the last nonzero digit 2",
+        ),
+        # 2.w + 1 -> w in base 4: the units term went, and the w term lost a copy too
+        (
+            RunKind.STRONG, make_record(0, 3, 7), make_record(1, 4, 4),
+            "term 0, above the last term 1",
+        ),
+    ],
+    ids=["weak", "strong"],
+)
+def test_check_step_rejects_a_descending_step_that_changes_an_entry_above_the_pivot(
+    monkeypatch, kind, prev, nxt, message
+):
+    successor = (nxt.base, nxt.digits, nxt.value)
+    monkeypatch.setitem(_SUCCESSORS, kind, lambda digits, base, max_bits: successor)
+    with pytest.raises(StepMismatch, match=f"^step 1: the step changes {message} it lowers$"):
+        check_step(prev, nxt, kind)
+
+
 def test_check_step_rejects_a_forgery_of_a_huge_successor_fast(monkeypatch):
     # 65536 = 2^(2^(2^2)); its strong successor 3^(3^(3^3)) - 1 has about 1.2e13 bits
     strong, caps = _SUCCESSORS[RunKind.STRONG], []
@@ -334,10 +359,13 @@ def test_certificate_is_an_immutable_tuple_of_its_fields():
 
 
 def test_verify_run_takes_a_seed_with_list_digits():
-    records = weak_records(8, 5)
-    seed = records[0]
-    records[0] = StepRecord(seed.index, seed.base, seed.value, list(seed.digits), seed.rendered)
-    assert verify_run(records).evidence == (0, 2, 2, 1)
+    # from 8 the first step shortens the digits, so zero padding makes the list a
+    # tuple; from 10 it keeps their length, and the pivot check meets the list
+    for start, evidence in [(8, (0, 2, 2, 1)), (10, (2, 3, 3, 0))]:
+        records = weak_records(start, 5)
+        seed = records[0]
+        records[0] = StepRecord(seed.index, seed.base, seed.value, list(seed.digits), seed.rendered)
+        assert verify_run(records).evidence == evidence
 
 
 def test_verify_run_single_record_is_vacuous():
@@ -376,13 +404,24 @@ def test_verify_run_flags_tampered_value():
     assert excinfo.value.index == 30
 
 
-def first_differences(records):
-    """The pivot of each step, worked out here: left-pad the successor, find the first change."""
-    pivots = []
-    for prev, nxt in zip(records, records[1:]):
-        padded = [0] * (len(prev.digits) - len(nxt.digits)) + list(nxt.digits)
-        pivots.append(next(i for i, (a, b) in enumerate(zip(padded, prev.digits)) if a != b))
-    return tuple(pivots)
+def first_difference(kind, prev, nxt):
+    """The pivot of one step, found by a scan: the first position where the digits,
+    zero-padded on the left to one width (weak and decreasing), or the top-level
+    terms of the hereditary trees (strong) differ; a proper prefix differs at its end."""
+    if kind is RunKind.STRONG:
+        before = build_from_digits(prev.digits, prev.base)
+        after = build_from_digits(nxt.digits, nxt.base)
+    else:
+        width = max(len(prev.digits), len(nxt.digits))
+        before = [0] * (width - len(prev.digits)) + list(prev.digits)
+        after = [0] * (width - len(nxt.digits)) + list(nxt.digits)
+    changed = (i for i, (a, b) in enumerate(zip(after, before)) if a != b)
+    return next(changed, min(len(after), len(before)))
+
+
+def first_differences(records, kind=RunKind.WEAK):
+    """The scanned pivot of each step of a run."""
+    return tuple(first_difference(kind, prev, nxt) for prev, nxt in zip(records, records[1:]))
 
 
 @pytest.mark.parametrize(
@@ -458,6 +497,35 @@ def test_a_genuine_pivot_has_a_closed_form(seed):
     records = kind_records(kind, start, 30, start_base)
     cert = verify_run(records, kind)
     assert cert.evidence == tuple(closed_form_pivot(kind, prev) for prev in records[:-1])
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    seed=st.one_of(
+        st.tuples(
+            st.sampled_from([RunKind.WEAK, RunKind.DECREASING]),
+            st.integers(1, 2 ** (CUT + 8)),
+            st.integers(2, 6),
+            st.integers(0, 2),
+        ),
+        st.tuples(st.just(RunKind.STRONG), st.integers(1, 200), st.integers(2, 6), st.just(0)),
+        st.just(WIDE_STRONG_SEED + (0,)),
+    )
+)
+@example(seed=(RunKind.WEAK, 2**CUT - 1, 2, 0))  # CUT digits
+@example(seed=(RunKind.WEAK, 2**CUT, 2, 0))  # CUT + 1 digits, and the first step shortens them
+@example(seed=(RunKind.DECREASING, 2 ** (CUT + 8), 2, 1))
+@example(seed=WIDE_STRONG_SEED + (0,))
+@example(seed=(RunKind.WEAK, 2, 2, 1))  # check_step of (0, 1, 0) in base 2 -> 2_3: pivot 1
+def test_the_pivot_is_the_first_difference_a_scan_finds(seed):
+    # differential: the closed-form pivot against the scan it replaced, on
+    # verify_run and on check_step of predecessors with `lead` leading zeros
+    kind, start, start_base, lead = seed
+    records = kind_records(kind, start, 30, start_base)
+    assert verify_run(records, kind).evidence == first_differences(records, kind)
+    for prev, nxt in zip(records, records[1:]):
+        padded = prev._replace(digits=(0,) * lead + prev.digits)
+        assert check_step(padded, nxt, kind) == first_difference(kind, padded, nxt)
 
 
 def test_decreasing_traces_verify():
