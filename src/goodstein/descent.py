@@ -12,8 +12,9 @@ certificate.
 The verifier never assumes the property it checks. The seed is checked on
 its own: canonical digits that spell ``value`` in ``base`` and match
 ``rendered``. Every later record must equal the kind's successor of its
-predecessor, the one ``sequences.run`` takes, and then have the shape of
-a borrow: the step lowers the predecessor's last nonzero digit (for a
+predecessor, the one ``sequences.run`` takes (its text may reuse the
+predecessor's, which is checked by then), and then have the shape of a
+borrow: the step lowers the predecessor's last nonzero digit (for a
 strong step, its tree's last top-level term) and keeps every entry above
 it. That closed form implies descent in the kind's order; for weak and
 decreasing runs it bounds every record's length by the seed's. A
@@ -30,7 +31,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from .errors import ArityExceeded, DomainError, EmptyRun, MagnitudeCapExceeded, StepMismatch
 from .hereditary import HereditaryTree, build_from_digits
 from .numerals import _check_digits, render, to_digits
-from .sequences import _SUCCESSORS, RunKind, StepRecord, _record
+from .sequences import _SUCCESSORS, RunKind, StepRecord, _record, _record_after
 
 
 class DescentCertificate(NamedTuple):
@@ -81,21 +82,27 @@ def check_step(prev: StepRecord, nxt: StepRecord, kind: RunKind = RunKind.WEAK) 
     pivot. Returns the pivot: the index of ``prev``'s last nonzero digit
     among the digits zero-padded to one width (weak and decreasing), or of
     the last top-level term of its hereditary tree (strong). That is the
-    first position where the step's digits or terms differ.
+    first position where the step's digits or terms differ. ``prev``'s
+    rendering is not read: ``nxt``'s is checked against a full render.
     """
     expected = None
     if nxt.index == prev.index + 1:  # else _step reports the index first
         _check_digits(prev.digits, prev.base)
-        expected = _successor_record(prev, kind, (nxt.value + 1).bit_length())
+        expected = _successor_record(prev, kind, (nxt.value + 1).bit_length(), checked=False)
     return _step(prev, nxt, kind, expected)[0]
 
 
-def _successor_record(prev: StepRecord, kind: RunKind, cap: int) -> Optional[StepRecord]:
+def _successor_record(
+    prev: StepRecord, kind: RunKind, cap: int, checked: bool = True
+) -> Optional[StepRecord]:
     """The ``kind`` successor record of ``prev``, whose digits are in range, under ``cap`` bits.
 
     None when ``prev`` is zero, which has no successor, or when the
     successor is wider than ``cap`` bits. Its ``rendered`` is None when its
-    base has no decimal text under CPython's int<->str limit.
+    base has no decimal text under CPython's int<->str limit. A ``checked``
+    ``prev``, one whose rendering has been verified, lends its text to the
+    successor's (``sequences._record_after``); any other ``prev`` gets a
+    successor rendered whole.
     """
     if not any(prev.digits):
         return None
@@ -104,6 +111,8 @@ def _successor_record(prev: StepRecord, kind: RunKind, cap: int) -> Optional[Ste
     except MagnitudeCapExceeded:
         return None
     try:
+        if checked:
+            return _record_after(prev, base, value, digits)
         return _record(prev.index + 1, base, value, digits)
     except ValueError:  # past the int<->str limit: _step renders it if it must
         return StepRecord(prev.index + 1, base, value, digits, None)

@@ -13,6 +13,10 @@ without building a tree, then the same borrow applies. Each record's
 digits come out of that borrow (or, for the seed, out of ``to_digits``)
 canonical and in range, so the successors call the unchecked kernels
 behind ``decrement_in_base`` and ``from_digits`` and check no digit twice.
+``_record_after`` builds each later record from its predecessor: a wide
+step that keeps the length and every digit above the predecessor's last
+nonzero one, as a borrow does, reuses the predecessor's text above that
+digit and renders only the rest, so its text costs what the step changes.
 ``weak_step`` and ``strong_step`` are ``to_digits`` followed by the run's
 own successor; the slow value-domain references the runs are checked
 against live in the tests.
@@ -26,7 +30,7 @@ from itertools import compress, count
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .errors import DomainError, InvalidBase, MagnitudeCapExceeded
-from .numerals import Digits, _borrow, _evaluate, render, to_digits
+from .numerals import CUT, Digits, _borrow, _evaluate, render, to_digits
 
 DEFAULT_MAX_STEPS = 10**6
 DEFAULT_MAX_BITS = 10**6
@@ -164,15 +168,19 @@ def _strong_successor(digits: Digits, base: int, max_bits: int) -> tuple[int, Di
     built: ``_bump`` refuses a nested exponent at or above ``max_bits``,
     and a top position ``e`` with ``B**e >= 2**max_bits`` is refused here.
     The work is one bump per nonzero digit; zero digits cost only their
-    slots in the new digit list.
+    slots in the new digit list. The top position is the first nonzero
+    digit's, so leading zeros are skipped, not bumped.
     """
-    new_base, top = base + 1, len(digits) - 1
+    last, lead = len(digits) - 1, 0
+    while not digits[lead]:
+        lead += 1
+    new_base, top = base + 1, last - lead
     new_top = _bump(top, base, max_bits)
     if new_top * (new_base.bit_length() - 1) >= max_bits:
         raise MagnitudeCapExceeded(new_top * (new_base.bit_length() - 1) + 1)
     bumped = [0] * (new_top + 1)
     for i in compress(count(), digits):
-        bumped[new_top - _bump(top - i, base, max_bits)] = digits[i]
+        bumped[new_top - _bump(last - i, base, max_bits)] = digits[i]
     successor = _borrow(bumped, new_base)
     value = _evaluate(successor, new_base)
     if (value + 1).bit_length() > max_bits:
@@ -204,6 +212,32 @@ def _record(index: int, base: int, value: int, digits: Digits) -> StepRecord:
     return StepRecord(index, base, value, digits, render(digits, base))
 
 
+def _record_after(prev: StepRecord, base: int, value: int, digits: Digits) -> StepRecord:
+    """The record after ``prev``, whose ``rendered`` must be ``render(prev.digits, prev.base)``.
+
+    A successor as long as ``prev``, past ``CUT`` digits, that keeps every
+    digit above ``prev``'s last nonzero digit ``p`` (every weak or
+    decreasing step that keeps the length) takes ``prev``'s text up to
+    digit ``p`` and renders only ``digits[p:]``. A digit's text does not
+    depend on the base, and ``p``'s text is found from the end of
+    ``prev``'s: the zeros after it take one character each. Any other
+    successor is rendered whole.
+    """
+    n = len(digits)
+    if n > CUT and n == len(prev.digits):
+        p = n - 1
+        while not prev.digits[p]:
+            p -= 1
+        if digits[:p] == prev.digits[:p]:
+            # rendered first: past the int<->str limit it raises before prev's text is read
+            tail = render(digits[p:], base)
+            text = prev.rendered
+            end = text.rindex("_") - (n - 1 - p)  # the end of digit p's text
+            cut = text.rindex("(", 0, end) if text[end - 1] == ")" else end - 1
+            return StepRecord(prev.index + 1, base, value, digits, text[:cut] + tail)
+    return StepRecord(prev.index + 1, base, value, digits, render(digits, base))
+
+
 def run(kind: RunKind, cfg: RunConfig) -> Iterator[StepRecord]:
     """Yield step records until the value reaches zero or a cap fires.
 
@@ -226,7 +260,7 @@ def run(kind: RunKind, cfg: RunConfig) -> Iterator[StepRecord]:
             base, digits, value = successor(record.digits, record.base, cfg.max_bits)
         except MagnitudeCapExceeded:
             return
-        record = _record(record.index + 1, base, value, digits)
+        record = _record_after(record, base, value, digits)
 
 
 def run_collected(kind: RunKind, cfg: RunConfig) -> tuple[list[StepRecord], RunOutcome]:

@@ -308,6 +308,52 @@ def test_check_step_checks_the_predecessor_digits():
         check_step(prev, StepRecord(1, 4, 3, (3,), "3_4"))
 
 
+@pytest.mark.parametrize("kind", list(RunKind))
+def test_check_step_on_a_zero_padded_predecessor(kind):
+    # 1011_2 -> 10010_3 (strong), 1010_3 (weak), 1010_2 (decreasing): a leading
+    # zero moves a weak or decreasing pivot by one place and leaves a strong
+    # one, which counts terms, where it was
+    prev, nxt = kind_records(kind, 11, 2)
+    padded = prev._replace(digits=(0,) + prev.digits)
+    pivot = check_step(prev, nxt, kind)
+    assert pivot == (2 if kind is RunKind.STRONG else 3)
+    assert check_step(padded, nxt, kind) == (pivot if kind is RunKind.STRONG else pivot + 1)
+
+
+def forge_text(text, at):
+    """``text`` with the character at ``at`` replaced by a digit other than it."""
+    return text[:at] + ("1" if text[at] != "1" else "0") + text[at + 1 :]
+
+
+@pytest.mark.parametrize("kind", [RunKind.WEAK, RunKind.DECREASING])
+def test_check_step_renders_the_successor_of_a_forged_predecessor_whole(kind):
+    # the predecessor's text is the caller's, so none of it is lent to the
+    # successor: a genuine successor passes, one that copies the forgery does not
+    records = kind_records(kind, 2**999 + 12345, 12)
+    prev, nxt = records[10], records[11]
+    assert len(prev.digits) == len(nxt.digits) > CUT
+    assert nxt.digits[:100] == prev.digits[:100]
+    forged = prev._replace(rendered=forge_text(prev.rendered, 50))
+    assert check_step(forged, nxt, kind) == check_step(prev, nxt, kind)
+    copied = nxt._replace(rendered=forge_text(nxt.rendered, 50))
+    message = f"^step 11: rendered {copied.rendered!r} does not match the digits$"
+    with pytest.raises(StepMismatch, match=message):
+        check_step(forged, copied, kind)
+
+
+@pytest.mark.parametrize("at", [0, 500, -8, -1], ids=["lead", "middle", "tail", "base"])
+def test_verify_run_refuses_a_rendered_forgery_wider_than_cut(at):
+    records = weak_records(2**999 + 12345, 40)
+    good = records[20]
+    assert len(records[19].digits) == len(good.digits) > CUT
+    at %= len(good.rendered)
+    records[20] = good._replace(rendered=forge_text(good.rendered, at))
+    with pytest.raises(StepMismatch) as exc:
+        verify_run(records)
+    reason = f"rendered {records[20].rendered!r} does not match the digits"
+    assert (exc.value.index, exc.value.reason) == (20, reason)
+
+
 # --- verify_run -------------------------------------------------------------------
 
 def test_verify_run_from_8_descends():
@@ -508,7 +554,9 @@ def test_a_genuine_pivot_has_a_closed_form(seed):
             st.integers(2, 6),
             st.integers(0, 2),
         ),
-        st.tuples(st.just(RunKind.STRONG), st.integers(1, 200), st.integers(2, 6), st.just(0)),
+        st.tuples(
+            st.just(RunKind.STRONG), st.integers(1, 200), st.integers(2, 6), st.integers(0, 2)
+        ),
         st.just(WIDE_STRONG_SEED + (0,)),
     )
 )
@@ -517,6 +565,7 @@ def test_a_genuine_pivot_has_a_closed_form(seed):
 @example(seed=(RunKind.DECREASING, 2 ** (CUT + 8), 2, 1))
 @example(seed=WIDE_STRONG_SEED + (0,))
 @example(seed=(RunKind.WEAK, 2, 2, 1))  # check_step of (0, 1, 0) in base 2 -> 2_3: pivot 1
+@example(seed=(RunKind.STRONG, 11, 2, 1))  # check_step of (0, 1, 0, 1, 1) in base 2: pivot 2
 def test_the_pivot_is_the_first_difference_a_scan_finds(seed):
     # differential: the closed-form pivot against the scan it replaced, on
     # verify_run and on check_step of predecessors with `lead` leading zeros

@@ -8,8 +8,11 @@ from goodstein.errors import DigitOutOfRange, DomainError, InvalidBase, Underflo
 from goodstein.numerals import (
     CUT,
     DIV_LIMIT,
+    HORNER_BY_FOUR,
     Ordering,
     _divmod,
+    _evaluate,
+    _horner,
     decrement_in_base,
     from_digits,
     lex_compare,
@@ -182,6 +185,68 @@ def test_radix_conversion_at_block_boundaries():
                 digits = to_digits(value, base)
                 assert digits == digits_by_divmod(value, base)
                 assert from_digits(digits, base) == value
+
+
+# Bases from 2 to past 2**64: 256 is a power of two and 257 is not, four
+# digits of base 65,536 fill 64 bits, and 2**64 + 13 is wider than a word.
+EVALUATED_BASES = [2, 10, 256, 257, 65_536, 2**64 + 13]
+
+# Lengths with every head (len % 4) on both sides of the four-digit rule's
+# threshold, and on both sides of one and of several blocks of CUT digits.
+EVALUATED_LENGTHS = sorted(
+    set(range(8))
+    | set(range(HORNER_BY_FOUR - 4, HORNER_BY_FOUR + 4))
+    | set(range(CUT - 4, CUT + 4))
+    | {2 * CUT, 2 * CUT + 3, 300}
+)
+
+
+@st.composite
+def digit_lists(draw, base):
+    """Up to 300 digits: random, all zero, all ``base - 1``, or runs with zero blocks."""
+    length = draw(st.sampled_from(EVALUATED_LENGTHS) | st.integers(0, 300))
+    fill = draw(st.sampled_from(["random", "zero", "top", "runs"]))
+    if fill == "zero":
+        return (0,) * length
+    if fill == "top":
+        return (base - 1,) * length
+    if fill == "random":
+        return tuple(draw(st.lists(st.integers(0, base - 1), min_size=length, max_size=length)))
+    # runs of one repeated digit, zero runs included, put all-zero blocks of
+    # CUT digits between nonzero ones
+    runs = draw(st.lists(st.tuples(st.integers(0, base - 1) | st.just(0), st.integers(0, 2 * CUT))))
+    return tuple(d for d, n in runs for _ in range(n))[:300]
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data(), base=st.sampled_from(EVALUATED_BASES))
+def test_evaluate_and_horner_match_one_digit_horner(data, base):
+    digits = data.draw(digit_lists(base))
+    expected = value_by_horner(digits, base)
+    assert _horner(digits, base) == expected
+    assert _evaluate(digits, base) == expected
+
+
+@pytest.mark.parametrize("base", EVALUATED_BASES, ids=str)
+def test_evaluate_and_horner_match_one_digit_horner_at_every_edge_length(base):
+    rng = random.Random(base)
+    for length in EVALUATED_LENGTHS:
+        for digits in (
+            tuple(rng.randrange(base) for _ in range(length)),
+            (0,) * length,
+            (base - 1,) * length,
+            (1,) + (0,) * (length - 1) if length else (),
+        ):
+            expected = value_by_horner(digits, base)
+            assert _horner(digits, base) == expected, (length, digits)
+            assert _evaluate(digits, base) == expected, (length, digits)
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), base=BASES | st.sampled_from(EVALUATED_BASES))
+def test_from_digits_inverts_to_digits(data, base):
+    value = data.draw(wide_values(base))
+    assert from_digits(to_digits(value, base), base) == value
 
 
 @pytest.mark.parametrize(

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from goodstein.errors import DomainError, InvalidBase, MagnitudeCapExceeded
 from goodstein.hereditary import build_hereditary
-from goodstein.numerals import CUT, render, to_digits
+from goodstein.numerals import CUT, from_digits, render, to_digits
 from goodstein.sequences import (
+    _SUCCESSORS,
     DEFAULT_MAX_BITS,
     DEFAULT_MAX_STEPS,
     RunConfig,
@@ -297,6 +298,68 @@ def test_record_consistency_along_runs(kind, start, base, max_steps, max_bits):
     )
     for record in records:
         assert record.digits == to_digits(record.value, record.base)
+        assert record.rendered == render(record.digits, record.base)
+
+
+@st.composite
+def wide_seeds(draw):
+    """A kind, a seed of CUT + 1 to 3 * CUT digits (a power, a power plus or
+    minus one, or any value of that width), its base and 30 steps."""
+    kind = draw(st.sampled_from(list(RunKind)))
+    base = draw(st.sampled_from([2, 3, 9, 10, 11, 100, 255, 256, 257, 1000]))
+    width = draw(st.integers(CUT + 1, 3 * CUT))
+    if draw(st.booleans()):
+        start = base ** (width - 1) + draw(st.integers(-1, 1))
+    else:
+        start = draw(st.integers(base ** (width - 1), base**width - 1))
+    return kind, start, base, 30
+
+
+@settings(deadline=None, max_examples=100)
+@given(seed=wide_seeds())
+# weak runs that cross bases 10 and 256; 2**k and base**k seeds, whose
+# trailing zeros borrow into every digit and whose first step drops the
+# leading digit; strong runs whose positions stay below the base, so that
+# the strong step keeps the length
+@example(seed=(RunKind.WEAK, 2**999 + 12345, 2, 300))
+@example(seed=(RunKind.WEAK, 2**1000, 2, 40))
+@example(seed=(RunKind.WEAK, 7 ** (CUT + 2), 7, 40))
+@example(seed=(RunKind.WEAK, 250 ** (CUT + 2) - 1, 250, 40))
+@example(seed=(RunKind.DECREASING, 2**1000, 2, 40))
+@example(seed=(RunKind.DECREASING, 10 ** (CUT + 2), 10, 40))
+@example(seed=(RunKind.DECREASING, 256 ** (CUT + 2) + 1, 256, 40))
+@example(seed=(RunKind.DECREASING, 257 ** (CUT + 2), 257, 40))
+@example(seed=(RunKind.STRONG, from_digits([7] * (CUT + 6), 100), 100, 40))
+@example(seed=(RunKind.STRONG, from_digits([3] * (CUT + 6), 250), 250, 40))
+@example(seed=(RunKind.STRONG, 9 ** (CUT + 2) + 8, 9, 6))
+def test_every_record_of_a_wide_run_renders_its_digits(seed):
+    kind, start, base, steps = seed
+    records, _ = run_collected(kind, RunConfig(start, base, steps, max_bits=10**5))
+    for record in records:
+        assert record.rendered == render(record.digits, record.base)
+
+
+def test_a_successor_that_changes_a_digit_above_the_pivot_is_rendered_whole(monkeypatch):
+    # lowering the leading digit too keeps the length, so only the digits
+    # above the pivot show that the predecessor's text no longer applies
+    weak = _SUCCESSORS[RunKind.WEAK]
+
+    def lowered_lead(digits, base, max_bits):
+        new_base, successor, value = weak(digits, base, max_bits)
+        if successor[0] > 1:
+            successor = (successor[0] - 1,) + successor[1:]
+            value -= new_base ** (len(successor) - 1)
+        return new_base, successor, value
+
+    monkeypatch.setitem(_SUCCESSORS, RunKind.WEAK, lowered_lead)
+    records, _ = run_collected(RunKind.WEAK, RunConfig(3 ** (CUT + 2) * 2 + 5, 3, 20))
+    lowered = [
+        nxt.index
+        for prev, nxt in zip(records, records[1:])
+        if len(prev.digits) == len(nxt.digits) > CUT and prev.digits[0] != nxt.digits[0]
+    ]
+    assert len(lowered) >= 5
+    for record in records:
         assert record.rendered == render(record.digits, record.base)
 
 
