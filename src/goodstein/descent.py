@@ -16,12 +16,14 @@ predecessor, the one ``sequences.run`` takes (its text may reuse the
 predecessor's, which is checked by then), and then have the shape of a
 borrow: the step lowers the predecessor's last nonzero digit (for a
 strong step, its tree's last top-level term) and keeps every entry above
-it. That closed form implies descent in the kind's order; for weak and
-decreasing runs it bounds every record's length by the seed's. A
-certificate keeps the seed, its digit count and one pivot per step. One
-loop, ``_certify``, checks the records that both ``verify_run`` and
-``goodstein verify`` read, and one function, ``_step``, checks each pair
-of them: ``check_step`` is that function on one pair.
+it; a weak or decreasing step lowers that digit by one and leaves
+``base - 1`` in every digit below it. That closed form implies descent in
+the kind's order, and for weak and decreasing runs it bounds every
+record's length by the seed's. A certificate keeps the seed, its digit
+count and one pivot per step. One loop, ``_certify``, checks the records
+that both ``verify_run`` and ``goodstein verify`` read, and one function,
+``_step``, checks each pair of them: ``check_step`` is that function on
+one pair.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from .errors import ArityExceeded, DomainError, EmptyRun, MagnitudeCapExceeded, StepMismatch
 from .hereditary import HereditaryTree, build_from_digits
 from .numerals import _check_digits, render, to_digits
-from .sequences import _SUCCESSORS, RunKind, StepRecord, _record, _record_after
+from .sequences import _SUCCESSORS, RunKind, StepRecord, _record_after
 
 
 class DescentCertificate(NamedTuple):
@@ -79,30 +81,31 @@ def check_step(prev: StepRecord, nxt: StepRecord, kind: RunKind = RunKind.WEAK) 
     nonzero; ``nxt``'s value and digits, then base, then rendering are the
     successor's, built under a cap of ``nxt.value + 1``'s bits, so never
     wider than claimed; the step descends; it changes no entry above the
-    pivot. Returns the pivot: the index of ``prev``'s last nonzero digit
+    pivot, nor, for weak and decreasing runs, one at or below it unlike a
+    borrow. Returns the pivot: the index of ``prev``'s last nonzero digit
     among the digits zero-padded to one width (weak and decreasing), or of
-    the last top-level term of its hereditary tree (strong). That is the
-    first position where the step's digits or terms differ. ``prev``'s
-    rendering is not read: ``nxt``'s is checked against a full render.
+    the last top-level term of its hereditary tree (strong), the first
+    position where the step's digits or terms differ. ``prev``'s text is
+    rendered again, so past the int<->str limit its base raises ValueError.
     """
     expected = None
     if nxt.index == prev.index + 1:  # else _step reports the index first
         _check_digits(prev.digits, prev.base)
-        expected = _successor_record(prev, kind, (nxt.value + 1).bit_length(), checked=False)
+        if any(prev.digits):  # else _step reports the zero predecessor
+            checked = prev._replace(rendered=render(prev.digits, prev.base))
+            expected = _successor_record(checked, kind, (nxt.value + 1).bit_length())
     return _step(prev, nxt, kind, expected)[0]
 
 
-def _successor_record(
-    prev: StepRecord, kind: RunKind, cap: int, checked: bool = True
-) -> Optional[StepRecord]:
-    """The ``kind`` successor record of ``prev``, whose digits are in range, under ``cap`` bits.
+def _successor_record(prev: StepRecord, kind: RunKind, cap: int) -> Optional[StepRecord]:
+    """The ``kind`` successor record of a checked ``prev``, under ``cap`` bits.
 
-    None when ``prev`` is zero, which has no successor, or when the
-    successor is wider than ``cap`` bits. Its ``rendered`` is None when its
-    base has no decimal text under CPython's int<->str limit. A ``checked``
-    ``prev``, one whose rendering has been verified, lends its text to the
-    successor's (``sequences._record_after``); any other ``prev`` gets a
-    successor rendered whole.
+    ``prev``'s digits must be in range and its text their rendering, as
+    the successor's text reuses it above the pivot
+    (``sequences._record_after``). None when ``prev`` is zero, which has no
+    successor, or when the successor is wider than ``cap`` bits. Its
+    ``rendered`` is None when its base has no decimal text under CPython's
+    int<->str limit.
     """
     if not any(prev.digits):
         return None
@@ -111,9 +114,7 @@ def _successor_record(
     except MagnitudeCapExceeded:
         return None
     try:
-        if checked:
-            return _record_after(prev, base, value, digits)
-        return _record(prev.index + 1, base, value, digits)
+        return _record_after(prev, base, value, digits)
     except ValueError:  # past the int<->str limit: _step renders it if it must
         return StepRecord(prev.index + 1, base, value, digits, None)
 
@@ -139,11 +140,13 @@ def _step(
     The pivot is not searched for: it is the closed form of a borrow, proven
     with one prefix comparison and one entry comparison. Entries above the
     pivot are equal, and the pivot's entry drops, or, for a strong step
-    that drops its units term 1, ``nxt``'s tree ends there. Zeros pad the
-    digits only on a step that changes their length. A pair that fails
-    this check is refused by its order if it does not descend, else by the
-    first entry it changes above the pivot. Returns the pivot and ``nxt``'s
-    tree (None for weak and decreasing pairs).
+    that drops its units term 1, ``nxt``'s tree ends there; a weak or
+    decreasing pivot drops by one and one more comparison finds ``base - 1``
+    in every digit below it. Zeros pad the digits only on a step that
+    changes their length. A failing pair is refused by its order if it does
+    not descend, else by the first entry it changes above the pivot, else
+    by the first digit the borrow would not leave. Returns the pivot and
+    ``nxt``'s tree (None for weak and decreasing pairs).
     """
     if nxt != expected:  # equal records share the index and imply a nonzero predecessor
         if nxt.index != prev.index + 1:
@@ -166,11 +169,12 @@ def _step(
             unrendered = f"rendered {nxt.rendered!r} does not match the digits"
             raise StepMismatch(nxt.index, unrendered)
     # nxt now matches expected, whose digits are the successor's own tuple
-    tree = None
     if kind is RunKind.STRONG:
         before = build_from_digits(prev.digits, prev.base) if prev_tree is None else prev_tree
-        after = tree = build_from_digits(expected.digits, expected.base)
+        after = build_from_digits(expected.digits, expected.base)
         pivot = len(before) - 1
+        if after[:pivot] == before[:pivot] and after[pivot:] < before[pivot:]:
+            return pivot, after
         order = "hereditary trees do not descend in Cantor normal form order"
         shape = "the step changes term {}, above the last term {} it lowers"
     else:
@@ -178,17 +182,24 @@ def _step(
         shortfall = len(before) - len(after)
         if shortfall:  # canonical digits compare length-first, so zero-pad them to one width
             before, after = (0,) * -shortfall + before, (0,) * shortfall + after
-        pivot = len(before) - 1
+        last = pivot = len(before) - 1
         while not before[pivot]:
             pivot -= 1
+        if after[pivot] + 1 == before[pivot] and after[:pivot] == before[:pivot] and (
+            pivot == last or after[pivot + 1 :] == (expected.base - 1,) * (last - pivot)
+        ):
+            return pivot, None
         order = "digits do not descend in length-first lexicographic order"
         shape = "the step changes digit {}, above the last nonzero digit {} it lowers"
-    if after[:pivot] == before[:pivot] and (len(after) == pivot or after[pivot] < before[pivot]):
-        return pivot, tree
     if after >= before:
         raise StepMismatch(nxt.index, order)
     changed = next(i for i, (a, b) in enumerate(zip(after, before)) if a != b)
-    raise StepMismatch(nxt.index, shape.format(changed, pivot))
+    if changed < pivot:  # always so for a strong pair
+        raise StepMismatch(nxt.index, shape.format(changed, pivot))
+    borrow = before[:pivot] + (before[pivot] - 1,) + (expected.base - 1,) * (last - pivot)
+    wrong = next(i for i, (a, b) in enumerate(zip(after, borrow)) if a != b)
+    left = "the step leaves {} in digit {}, where the borrow from digit {} leaves {}"
+    raise StepMismatch(nxt.index, left.format(after[wrong], wrong, pivot, borrow[wrong]))
 
 
 def _certify(

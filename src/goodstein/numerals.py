@@ -10,8 +10,8 @@ run walks through grow without bound.
 The public functions check their input. ``_borrow`` and ``_evaluate`` are
 the same work without the checks, for callers whose digits are in range by
 construction, such as the borrow's own output. ``_evaluate`` runs Horner's
-rule on blocks of at most ``CUT`` digits, four digits per bignum multiply
-once a block has ``HORNER_BY_FOUR`` digits.
+rule one digit per bignum multiply on a list of at most ``CUT`` digits, and
+four digits per multiply on each block of a longer one.
 """
 
 from __future__ import annotations
@@ -26,16 +26,8 @@ Digits = tuple[int, ...]
 
 # Radix conversion works on blocks of at most this many digits: each is
 # converted digit by digit, and a sequence this short is evaluated by
-# Horner's rule alone.
+# Horner's rule one digit per multiply.
 CUT = 64
-
-# ``_horner`` takes four digits per bignum multiply on a sequence of at
-# least this many digits, and one per multiply on a shorter one, where the
-# four-digit loop's setup costs more than it saves. Against the one-digit
-# loop, in bases 10, 300 and 1000, it took 1.24-1.29 times as long on 16
-# digits, 1.01-1.04 on 32, 0.95-0.98 on 40 and 0.85-0.86 on 64 (best of
-# 15, 2-vCPU x86_64, CPython 3.11.7).
-HORNER_BY_FOUR = 40
 
 # ``_divmod`` hands a quotient of at most this many bits to the builtin
 # ``divmod``. CPython 3.12's ``_pylong`` uses the same limit; on a 1e6-bit
@@ -182,12 +174,17 @@ def from_digits(digits: Sequence[int], base: int) -> int:
 def _evaluate(digits: Sequence[int], base: int) -> int:
     """``from_digits`` without its checks, for digits known to be in range.
 
-    Each block of ``CUT`` digits goes through ``_horner``, so a full block
-    costs 16 bignum multiplies and adds rather than 64; the joins above
-    the blocks cost one multiply per pair.
+    A list of at most ``CUT`` digits, such as a narrow run's few, takes
+    Horner's rule one digit per bignum multiply. A longer one is cut into
+    blocks of ``CUT`` digits, each of which ``_horner`` takes with 16
+    bignum multiplies and adds rather than 64; the joins above the blocks
+    cost one multiply per pair.
     """
     if len(digits) <= CUT:
-        return _horner(digits, base)
+        value = 0
+        for digit in digits:
+            value = value * base + digit
+        return value
     # least significant block first; only the last one may be short
     stops = range(len(digits), 0, -CUT)
     blocks = [digits[stop - CUT : stop] for stop in stops[:-1]]
@@ -203,7 +200,7 @@ def _evaluate(digits: Sequence[int], base: int) -> int:
 
 
 def _horner(digits: Sequence[int], base: int) -> int:
-    """Horner's rule, four digits per bignum multiply from ``HORNER_BY_FOUR`` digits on.
+    """Horner's rule, four digits per bignum multiply.
 
     The four digits ``a, b, c, d`` join as ``(a*B + b)*B**2 + c*B + d``,
     small numbers for a small base ``B``, and the value takes them with one
@@ -211,10 +208,6 @@ def _horner(digits: Sequence[int], base: int) -> int:
     at a time.
     """
     value = 0
-    if len(digits) < HORNER_BY_FOUR:
-        for digit in digits:
-            value = value * base + digit
-        return value
     rest = iter(digits)
     for digit in islice(rest, len(digits) % 4):
         value = value * base + digit

@@ -208,10 +208,6 @@ _SUCCESSORS: dict[RunKind, Callable[[Digits, int, int], tuple[int, Digits, int]]
 }
 
 
-def _record(index: int, base: int, value: int, digits: Digits) -> StepRecord:
-    return StepRecord(index, base, value, digits, render(digits, base))
-
-
 def _record_after(prev: StepRecord, base: int, value: int, digits: Digits) -> StepRecord:
     """The record after ``prev``, whose ``rendered`` must be ``render(prev.digits, prev.base)``.
 
@@ -219,9 +215,9 @@ def _record_after(prev: StepRecord, base: int, value: int, digits: Digits) -> St
     digit above ``prev``'s last nonzero digit ``p`` (every weak or
     decreasing step that keeps the length) takes ``prev``'s text up to
     digit ``p`` and renders only ``digits[p:]``. A digit's text does not
-    depend on the base, and ``p``'s text is found from the end of
-    ``prev``'s: the zeros after it take one character each. Any other
-    successor is rendered whole.
+    depend on the base, so ``p``'s text starts where the rendering of
+    ``prev.digits[p:]``, a digit and its zeros, starts at the end of
+    ``prev``'s. Any other successor is rendered whole.
     """
     n = len(digits)
     if n > CUT and n == len(prev.digits):
@@ -231,10 +227,8 @@ def _record_after(prev: StepRecord, base: int, value: int, digits: Digits) -> St
         if digits[:p] == prev.digits[:p]:
             # rendered first: past the int<->str limit it raises before prev's text is read
             tail = render(digits[p:], base)
-            text = prev.rendered
-            end = text.rindex("_") - (n - 1 - p)  # the end of digit p's text
-            cut = text.rindex("(", 0, end) if text[end - 1] == ")" else end - 1
-            return StepRecord(prev.index + 1, base, value, digits, text[:cut] + tail)
+            cut = len(prev.rendered) - len(render(prev.digits[p:], prev.base))
+            return StepRecord(prev.index + 1, base, value, digits, prev.rendered[:cut] + tail)
     return StepRecord(prev.index + 1, base, value, digits, render(digits, base))
 
 
@@ -250,8 +244,8 @@ def run(kind: RunKind, cfg: RunConfig) -> Iterator[StepRecord]:
     runs keep ``start_base`` fixed.
     """
     successor = _SUCCESSORS[kind]
-    seed_digits = to_digits(cfg.start_value, cfg.start_base)
-    record = _record(0, cfg.start_base, cfg.start_value, seed_digits)
+    digits = to_digits(cfg.start_value, cfg.start_base)
+    record = StepRecord(0, cfg.start_base, cfg.start_value, digits, render(digits, cfg.start_base))
     while True:
         yield record
         if _halt(record, cfg) is not None:

@@ -14,7 +14,7 @@ from goodstein import cli
 from goodstein.cli import _no_int_str_limit, _read_trace, _record_from_json, _record_json, main
 from goodstein.descent import verify_run
 from goodstein.errors import StepMismatch
-from goodstein.numerals import CUT
+from goodstein.numerals import CUT, from_digits
 from goodstein.sequences import _SUCCESSORS, RunConfig, RunKind, StepRecord, run_collected
 
 
@@ -389,7 +389,8 @@ def test_verify_rejects_a_step_that_does_not_descend(tmp_path, capsys, monkeypat
 def test_a_wrong_successor_that_still_descends_is_refused(tmp_path, capsys, monkeypatch):
     # a weak successor that also lowers the leading digit keeps digits, value and
     # rendering consistent and still descends, so only the step's shape shows it:
-    # from 10 it takes 1000_5 -> 455_6 (nothing above the pivot 0), then 455_6 -> 354_7
+    # from 10 it takes 1000_5 -> 455_6, whose tail the borrow leaves 5,5,5, then
+    # 455_6 -> 354_7, which changes digit 0 above the pivot 2
     weak = _SUCCESSORS[RunKind.WEAK]
 
     def lowered_lead(digits, base, max_bits):
@@ -400,13 +401,40 @@ def test_a_wrong_successor_that_still_descends_is_refused(tmp_path, capsys, monk
         return new_base, successor, value
 
     monkeypatch.setitem(_SUCCESSORS, RunKind.WEAK, lowered_lead)
-    message = "step 5: the step changes digit 0, above the last nonzero digit 2 it lowers"
+    message = "step 4: the step leaves 4 in digit 1, where the borrow from digit 0 leaves 5"
     records, _ = run_collected(RunKind.WEAK, RunConfig(10, max_steps=8))
     assert [r.rendered for r in records[3:6]] == ["1000_5", "455_6", "354_7"]
     with pytest.raises(StepMismatch, match=f"^{message}$"):
         verify_run(records)
+    above = "step 5: the step changes digit 0, above the last nonzero digit 2 it lowers"
+    with pytest.raises(StepMismatch, match=f"^{above}$"):
+        verify_run(records[4:])
     path = tmp_path / "wrong.jsonl"
     path.write_text(jsonl_trace(capsys, 10, 8))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert (code, out, err) == (4, "", f"error: {message}\n")
+
+
+def test_a_borrow_that_leaves_the_wrong_tail_is_refused(tmp_path, capsys, monkeypatch):
+    # a weak successor that writes base - 2 below the lowered digit keeps digits, value,
+    # rendering and every digit above the pivot consistent, and still descends: from
+    # 25 it takes 11001_2 -> 11000_3 (no digit below the pivot 4), then 11000_3 -> 10222_4
+    weak = _SUCCESSORS[RunKind.WEAK]
+
+    def short_tail(digits, base, max_bits):
+        new_base, successor, _ = weak(digits, base, max_bits)
+        zeros = len(digits) - 1 - max(i for i, digit in enumerate(digits) if digit)
+        successor = successor[: len(successor) - zeros] + (new_base - 2,) * zeros
+        return new_base, successor, from_digits(successor, new_base)
+
+    monkeypatch.setitem(_SUCCESSORS, RunKind.WEAK, short_tail)
+    message = "step 2: the step leaves 2 in digit 2, where the borrow from digit 1 leaves 3"
+    records, _ = run_collected(RunKind.WEAK, RunConfig(25, max_steps=8))
+    assert [r.rendered for r in records[:3]] == ["11001_2", "11000_3", "10222_4"]
+    with pytest.raises(StepMismatch, match=f"^{message}$"):
+        verify_run(records)
+    path = tmp_path / "short.jsonl"
+    path.write_text(jsonl_trace(capsys, 25, 8))
     code, out, err = run_cli(capsys, "verify", str(path))
     assert (code, out, err) == (4, "", f"error: {message}\n")
 

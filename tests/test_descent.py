@@ -390,6 +390,26 @@ def test_verify_run_of_a_base_past_the_int_str_limit_raises_value_error():
     assert not isinstance(raised.value, GoodsteinError)
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="needs CPython's int<->str limit"
+)
+def test_check_step_of_a_predecessor_past_the_int_str_limit_raises_value_error():
+    # check_step renders its predecessor itself rather than trust its text, and
+    # base 10**4300 has no decimal text under the default limit; that holds even
+    # for a successor whose text is left out, as the successor's own text must be
+    previous = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        prev, nxt = weak_records(2, 2, start_base=10**4300)
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        for successor in (nxt, nxt._replace(rendered=None)):
+            with pytest.raises(ValueError) as raised:
+                check_step(prev, successor)
+            assert not isinstance(raised.value, GoodsteinError)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def test_certificate_is_an_immutable_tuple_of_its_fields():
     cert = verify_run(weak_records(8, 3))
     start, k, evidence = cert

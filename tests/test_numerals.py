@@ -8,7 +8,6 @@ from goodstein.errors import DigitOutOfRange, DomainError, InvalidBase, Underflo
 from goodstein.numerals import (
     CUT,
     DIV_LIMIT,
-    HORNER_BY_FOUR,
     Ordering,
     _divmod,
     _evaluate,
@@ -191,11 +190,12 @@ def test_radix_conversion_at_block_boundaries():
 # digits of base 65,536 fill 64 bits, and 2**64 + 13 is wider than a word.
 EVALUATED_BASES = [2, 10, 256, 257, 65_536, 2**64 + 13]
 
-# Lengths with every head (len % 4) on both sides of the four-digit rule's
-# threshold, and on both sides of one and of several blocks of CUT digits.
+# Lengths with every head (len % 4): short lists, lists on both sides of 40
+# digits, and lists on both sides of one and of several blocks of CUT
+# digits, where ``_evaluate`` turns from the one-digit loop to ``_horner``.
 EVALUATED_LENGTHS = sorted(
     set(range(8))
-    | set(range(HORNER_BY_FOUR - 4, HORNER_BY_FOUR + 4))
+    | set(range(36, 44))
     | set(range(CUT - 4, CUT + 4))
     | {2 * CUT, 2 * CUT + 3, 300}
 )

@@ -320,8 +320,10 @@ def wide_seeds(draw):
 # weak runs that cross bases 10 and 256; 2**k and base**k seeds, whose
 # trailing zeros borrow into every digit and whose first step drops the
 # leading digit; strong runs whose positions stay below the base, so that
-# the strong step keeps the length
+# the strong step keeps the length; a pivot digit that prints in parentheses
+# above a successor digit that does not, ...(10)_11 -> ...9_12
 @example(seed=(RunKind.WEAK, 2**999 + 12345, 2, 300))
+@example(seed=(RunKind.WEAK, from_digits([1] + [0] * CUT + [10], 11), 11, 30))
 @example(seed=(RunKind.WEAK, 2**1000, 2, 40))
 @example(seed=(RunKind.WEAK, 7 ** (CUT + 2), 7, 40))
 @example(seed=(RunKind.WEAK, 250 ** (CUT + 2) - 1, 250, 40))
