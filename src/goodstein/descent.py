@@ -16,14 +16,13 @@ predecessor, the one ``sequences.run`` takes (its text may reuse the
 predecessor's, which is checked by then), and then have the shape of a
 borrow: the step lowers the predecessor's last nonzero digit (for a
 strong step, its tree's last top-level term) and keeps every entry above
-it; a weak or decreasing step lowers that digit by one and leaves
-``base - 1`` in every digit below it. That closed form implies descent in
-the kind's order, and for weak and decreasing runs it bounds every
-record's length by the seed's. A certificate keeps the seed, its digit
-count and one pivot per step. One loop, ``_certify``, checks the records
-that both ``verify_run`` and ``goodstein verify`` read, and one function,
-``_step``, checks each pair of them: ``check_step`` is that function on
-one pair.
+it; a weak or decreasing step lowers it by one and leaves ``base - 1``
+below it. That closed form implies descent in the kind's order; for weak
+and decreasing runs it bounds every record's length by the seed's. A
+certificate keeps the seed, its digit count and one pivot per step. One
+loop, ``_certify``, checks the records that both ``verify_run`` and
+``goodstein verify`` read, and one function, ``_step``, checks each pair
+of them: ``check_step`` is that function on one pair.
 """
 
 from __future__ import annotations
@@ -57,6 +56,14 @@ class DescentCertificate(NamedTuple):
         return True
 
 
+def _decimal(value: int) -> str:
+    """``value`` in decimal, or its width where CPython's int<->str limit refuses the text."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"of {value.bit_length()} bits"
+
+
 def _check_record(record: StepRecord) -> None:
     """Raise StepMismatch unless the record's digits, value and rendering agree."""
     digits, base = record.digits, record.base
@@ -65,9 +72,8 @@ def _check_record(record: StepRecord) -> None:
     except DomainError:
         canonical = False
     if not canonical:
-        raise StepMismatch(
-            record.index, f"digits {list(digits)} do not spell value {record.value} in base {base}"
-        )
+        spelled = f"digits {list(digits)} do not spell value {_decimal(record.value)}"
+        raise StepMismatch(record.index, f"{spelled} in base {base}")
     if record.rendered != render(digits, base):
         raise StepMismatch(record.index, f"rendered {record.rendered!r} does not match the digits")
 
@@ -100,12 +106,10 @@ def check_step(prev: StepRecord, nxt: StepRecord, kind: RunKind = RunKind.WEAK) 
 def _successor_record(prev: StepRecord, kind: RunKind, cap: int) -> Optional[StepRecord]:
     """The ``kind`` successor record of a checked ``prev``, under ``cap`` bits.
 
-    ``prev``'s digits must be in range and its text their rendering, as
-    the successor's text reuses it above the pivot
-    (``sequences._record_after``). None when ``prev`` is zero, which has no
-    successor, or when the successor is wider than ``cap`` bits. Its
-    ``rendered`` is None when its base has no decimal text under CPython's
-    int<->str limit.
+    ``prev``'s digits must be in range and its text their rendering, which
+    ``sequences._record_after`` reuses. None when ``prev`` is zero or the
+    successor is wider than ``cap`` bits. Its ``rendered`` is None when its
+    base has no decimal text under CPython's int<->str limit.
     """
     if not any(prev.digits):
         return None
@@ -155,12 +159,11 @@ def _step(
             raise StepMismatch(nxt.index, "predecessor value is already zero")
         _, base, value, digits, rendered = expected or (None,) * 5
         if nxt.value != value and nxt.digits != digits:
-            raise StepMismatch(
-                nxt.index, f"value {nxt.value} is not a {kind.value} successor of {prev.value}"
-            )
+            claimed = f"value {_decimal(nxt.value)} is not a {kind.value} successor"
+            raise StepMismatch(nxt.index, f"{claimed} of {_decimal(prev.value)}")
         if nxt.value != value or nxt.digits != digits:
-            spelled = f"digits {list(nxt.digits)} do not spell value {nxt.value} in base {base}"
-            raise StepMismatch(nxt.index, spelled)
+            spelled = f"digits {list(nxt.digits)} do not spell value {_decimal(nxt.value)}"
+            raise StepMismatch(nxt.index, f"{spelled} in base {base}")
         if nxt.base != base:
             raise StepMismatch(nxt.index, f"base {nxt.base} does not follow base {prev.base}")
         if rendered is None:  # the base is past the int<->str limit
@@ -194,7 +197,7 @@ def _step(
     if after >= before:
         raise StepMismatch(nxt.index, order)
     changed = next(i for i, (a, b) in enumerate(zip(after, before)) if a != b)
-    if changed < pivot:  # always so for a strong pair
+    if changed < pivot:  # always, for a strong pair that gets here
         raise StepMismatch(nxt.index, shape.format(changed, pivot))
     borrow = before[:pivot] + (before[pivot] - 1,) + (expected.base - 1,) * (last - pivot)
     wrong = next(i for i, (a, b) in enumerate(zip(after, borrow)) if a != b)

@@ -174,11 +174,9 @@ def from_digits(digits: Sequence[int], base: int) -> int:
 def _evaluate(digits: Sequence[int], base: int) -> int:
     """``from_digits`` without its checks, for digits known to be in range.
 
-    A list of at most ``CUT`` digits, such as a narrow run's few, takes
-    Horner's rule one digit per bignum multiply. A longer one is cut into
-    blocks of ``CUT`` digits, each of which ``_horner`` takes with 16
-    bignum multiplies and adds rather than 64; the joins above the blocks
-    cost one multiply per pair.
+    A list of at most ``CUT`` digits takes Horner's rule one digit per bignum
+    multiply. A longer one is cut into blocks of ``CUT``, each 16 multiplies
+    in ``_horner`` rather than 64, joined with one multiply per pair.
     """
     if len(digits) <= CUT:
         value = 0

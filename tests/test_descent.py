@@ -239,6 +239,36 @@ def test_check_step_rejects_every_single_field_forgery(kind, width, base, steps,
         assert exc.value.index == nxt.index
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="needs CPython's int<->str limit"
+)
+def test_a_forged_value_past_the_int_str_limit_is_named_by_its_width():
+    # the strong run from 256 reaches 14,658 bits, 4,413 decimal digits, at record 3:
+    # past the default limit a refusal names such a value by its width
+    prev, nxt = kind_records(RunKind.STRONG, 256, 4)[2:]
+    forged = nxt._replace(value=nxt.value - 2)
+    spelled = r"digits \[.*\] do not spell value of 14658 bits in base 5$"
+    previous = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        with pytest.raises(StepMismatch, match=f"^step 3: {spelled}"):
+            check_step(prev, forged, RunKind.STRONG)
+        with pytest.raises(StepMismatch, match=f"^step 0: {spelled}"):
+            verify_run([forged._replace(index=0)], RunKind.STRONG)
+        with pytest.raises(StepMismatch, match="^step 3: value of 14658 bits is not a strong "):
+            check_step(prev, forged._replace(digits=nxt.digits[1:]), RunKind.STRONG)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def decimal(value):
+    """A value as a refusal names it: in decimal, or by its width past the int<->str limit."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"of {value.bit_length()} bits"
+
+
 def ordered_check(prev, nxt, kind):
     """The first failing check of a pair, field by field in ``check_step``'s order.
 
@@ -254,9 +284,11 @@ def ordered_check(prev, nxt, kind):
     except MagnitudeCapExceeded:
         base = digits = value = None
     if nxt.value != value and nxt.digits != digits:
-        return nxt.index, f"value {nxt.value} is not a {kind.value} successor of {prev.value}"
+        claimed = f"value {decimal(nxt.value)} is not a {kind.value} successor"
+        return nxt.index, f"{claimed} of {decimal(prev.value)}"
     if nxt.value != value or nxt.digits != digits:
-        return nxt.index, f"digits {list(nxt.digits)} do not spell value {nxt.value} in base {base}"
+        spelled = f"digits {list(nxt.digits)} do not spell value {decimal(nxt.value)}"
+        return nxt.index, f"{spelled} in base {base}"
     if nxt.base != base:
         return nxt.index, f"base {nxt.base} does not follow base {prev.base}"
     if nxt.rendered != render(digits, base):

@@ -18,9 +18,8 @@ def test_the_readme_library_example_prints_what_its_comments_say():
     }
     namespace, checked = {}, 0
     for statement in ast.parse(source).body:
-        code = compile(ast.Module([statement], []), "README.md", "exec")
         if not isinstance(statement, ast.Expr) or statement.lineno not in comments:
-            exec(code, namespace)
+            exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
             continue
         value = eval(compile(ast.Expression(statement.value), "README.md", "eval"), namespace)
         claimed = comments[statement.lineno].split(": ", 1)[0]
