@@ -359,8 +359,9 @@ def forge_text(text, at):
 
 @pytest.mark.parametrize("kind", [RunKind.WEAK, RunKind.DECREASING])
 def test_check_step_renders_the_successor_of_a_forged_predecessor_whole(kind):
-    # the predecessor's text is the caller's, so none of it is lent to the
-    # successor: a genuine successor passes, one that copies the forgery does not
+    # the predecessor's text is the caller's, so check_step renders it again
+    # before the successor reuses any of it: a genuine successor passes, one
+    # that copies the forgery does not
     records = kind_records(kind, 2**999 + 12345, 12)
     prev, nxt = records[10], records[11]
     assert len(prev.digits) == len(nxt.digits) > CUT
