@@ -32,7 +32,7 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 from .descent import DescentCertificate, _certify, _successor_record, verify_run
 from .errors import EmptyRun, GoodsteinError, StepMismatch
@@ -117,14 +117,36 @@ def cmd_hereditary(args: argparse.Namespace) -> int:
     return 0
 
 
+def _jsonl_lines() -> Callable[[StepRecord], str]:
+    """A formatter for the records of one trace, in order: ``_record_json`` of each.
+
+    It keeps the last high-digit tuple, every digit but the units digit,
+    with its JSON, so a record that keeps them, as a units-only step of a
+    weak or decreasing run does, formats only its units digit.
+    """
+    high: Optional[Sequence[int]] = None
+    high_json = ""
+
+    def line(record: StepRecord) -> str:
+        # The bytes of json.dumps on the record's dict, without building the dict.
+        # Every field but ``rendered`` is decimal text, which needs no escaping.
+        nonlocal high, high_json
+        digits = record.digits
+        if digits[:-1] != high:
+            high_json = "".join([f'"{d}", ' for d in digits[:-1]])
+            high = digits[:-1]
+        units = f'"{digits[-1]}"' if digits else ""
+        return (
+            f'{{"index": {record.index}, "base": "{record.base}", "value": "{record.value}", '
+            f'"digits": [{high_json}{units}], "rendered": {encode_basestring_ascii(record.rendered)}}}'
+        )
+
+    return line
+
+
 def _record_json(record: StepRecord) -> str:
-    # The bytes of json.dumps on the record's dict, without building the dict.
-    # Every field but ``rendered`` is decimal text, which needs no escaping.
-    digits = ('["' + '", "'.join(map(str, record.digits)) + '"]') if record.digits else "[]"
-    return (
-        f'{{"index": {record.index}, "base": "{record.base}", "value": "{record.value}", '
-        f'"digits": {digits}, "rendered": {encode_basestring_ascii(record.rendered)}}}'
-    )
+    """The JSONL line of one record, as ``run --format jsonl`` writes it."""
+    return _jsonl_lines()(record)
 
 
 def _summary(status: RunStatus, steps_emitted: int) -> dict:
@@ -145,7 +167,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise GoodsteinError(f"--start must be >= 1, got {args.start}")
     cfg, kind = RunConfig(args.start, args.base, args.max_steps, args.max_bits), RunKind(args.kind)
     line = {
-        "jsonl": _record_json,
+        "jsonl": _jsonl_lines(),
         "csv": lambda r: f"{r.index},{r.base},{r.value},{r.rendered}",
         "human": lambda r: f"{r.index} base={r.base} value={r.value} {r.rendered}",
     }[args.format]
@@ -226,7 +248,7 @@ def _trace_pairs(
     summary or certificate line must agree with the records before it, and
     no record may follow one. The first problem in file order decides.
     """
-    prev, k, count, ended = None, 0, 0, False
+    prev, k, count, ended, record_json = None, 0, 0, False, _jsonl_lines()
     for lineno, line in enumerate(handle, 1):
         line = line.strip()
         if not line:
@@ -236,7 +258,7 @@ def _trace_pairs(
             # a line of L characters spells fewer than 4 * L bits
             expected = _successor_record(prev, kind, 4 * len(line))
             try:
-                if expected is not None and line == _record_json(expected):
+                if expected is not None and line == record_json(expected):
                     nxt = expected
             except ValueError:  # text past the int<->str limit matches no line
                 pass

@@ -232,6 +232,32 @@ def _record_after(prev: StepRecord, base: int, value: int, digits: Digits) -> St
     return StepRecord(prev.index + 1, base, value, digits, render(digits, base))
 
 
+def _units_block(prev: StepRecord, kind: RunKind, steps: int) -> Iterator[StepRecord]:
+    """The next ``min(u, steps)`` records after ``prev``, each one lower in the units digit only.
+
+    ``prev`` is a weak or decreasing record of at least two digits whose
+    units digit ``u`` is nonzero; its other digits, ``high``, stay for
+    ``u`` steps: Cichoń's ``H_{α+c}(n) = H_α(n+c)`` (Proc. AMS 87, 1983).
+    Record ``s``, from 1, has digits ``high + (u - s,)`` in base ``b = prev.base + s``
+    (weak) or ``prev.base`` (decreasing), value ``high`` evaluated in ``b``
+    times ``b`` plus ``u - s`` (weak) or ``prev.value - s`` (decreasing),
+    and ``prev``'s text up to its units digit followed by ``render`` of the
+    new units digit. Neither ``_SUCCESSORS`` nor ``_record_after`` runs, so
+    the verifiers, which do, derive these records another way.
+    """
+    high, u = prev.digits[:-1], prev.digits[-1]
+    head = prev.rendered[: len(prev.rendered) - len(render(prev.digits[-1:], prev.base))]
+    index, base, value, weak = prev.index, prev.base, prev.value, kind is RunKind.WEAK
+    for digit in range(u - 1, u - 1 - min(u, steps), -1):
+        index += 1
+        if weak:
+            base += 1
+            value = _evaluate(high, base) * base + digit
+        else:
+            value -= 1
+        yield StepRecord(index, base, value, high + (digit,), head + render((digit,), base))
+
+
 def run(kind: RunKind, cfg: RunConfig) -> Iterator[StepRecord]:
     """Yield step records until the value reaches zero or a cap fires.
 
@@ -241,20 +267,28 @@ def run(kind: RunKind, cfg: RunConfig) -> Iterator[StepRecord]:
     ``run_collected`` when the whole trace fits in memory anyway.
 
     Weak and strong runs use ``base = start_base + index``; decreasing
-    runs keep ``start_base`` fixed.
+    runs keep ``start_base`` fixed. A weak or decreasing record of at
+    least two digits whose units digit is nonzero is followed by a
+    ``_units_block``, up to the step cap; every other record, a borrow,
+    a single digit or a strong one, by its ``_SUCCESSORS`` step through
+    ``_record_after``.
     """
     successor = _SUCCESSORS[kind]
+    blocks = kind is not RunKind.STRONG
     digits = to_digits(cfg.start_value, cfg.start_base)
     record = StepRecord(0, cfg.start_base, cfg.start_value, digits, render(digits, cfg.start_base))
-    while True:
-        yield record
-        if _halt(record, cfg) is not None:
-            return
-        try:
-            base, digits, value = successor(record.digits, record.base, cfg.max_bits)
-        except MagnitudeCapExceeded:
-            return
-        record = _record_after(record, base, value, digits)
+    yield record
+    while _halt(record, cfg) is None:
+        if blocks and len(record.digits) > 1 and record.digits[-1]:
+            for record in _units_block(record, kind, cfg.max_steps - 1 - record.index):
+                yield record
+        else:
+            try:
+                base, digits, value = successor(record.digits, record.base, cfg.max_bits)
+            except MagnitudeCapExceeded:
+                return
+            record = _record_after(record, base, value, digits)
+            yield record
 
 
 def run_collected(kind: RunKind, cfg: RunConfig) -> tuple[list[StepRecord], RunOutcome]:

@@ -16,6 +16,7 @@ from goodstein.descent import verify_run
 from goodstein.errors import StepMismatch
 from goodstein.numerals import CUT, from_digits
 from goodstein.sequences import _SUCCESSORS, RunConfig, RunKind, StepRecord, run_collected
+from test_sequences import stepped_records
 
 
 def run_cli(capsys, *argv):
@@ -402,7 +403,7 @@ def test_a_wrong_successor_that_still_descends_is_refused(tmp_path, capsys, monk
 
     monkeypatch.setitem(_SUCCESSORS, RunKind.WEAK, lowered_lead)
     message = "step 4: the step leaves 4 in digit 1, where the borrow from digit 0 leaves 5"
-    records, _ = run_collected(RunKind.WEAK, RunConfig(10, max_steps=8))
+    records = stepped_records(RunKind.WEAK, RunConfig(10, max_steps=8))
     assert [r.rendered for r in records[3:6]] == ["1000_5", "455_6", "354_7"]
     with pytest.raises(StepMismatch, match=f"^{message}$"):
         verify_run(records)
@@ -410,7 +411,7 @@ def test_a_wrong_successor_that_still_descends_is_refused(tmp_path, capsys, monk
     with pytest.raises(StepMismatch, match=f"^{above}$"):
         verify_run(records[4:])
     path = tmp_path / "wrong.jsonl"
-    path.write_text(jsonl_trace(capsys, 10, 8))
+    path.write_text("".join(_record_json(record) + "\n" for record in records))
     code, out, err = run_cli(capsys, "verify", str(path))
     assert (code, out, err) == (4, "", f"error: {message}\n")
 

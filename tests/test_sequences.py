@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from goodstein.descent import _successor_record
 from goodstein.errors import DomainError, InvalidBase, MagnitudeCapExceeded
 from goodstein.hereditary import build_hereditary
 from goodstein.numerals import CUT, from_digits, render, to_digits
@@ -65,6 +66,21 @@ def strong_step_reference(value, base, max_bits):
     moves digits instead, so the two share no arithmetic beyond ``build_hereditary``.
     """
     return eval_capped_reference(build_hereditary(value, base), base + 1, max_bits) - 1
+
+
+def stepped_records(kind, cfg):
+    """``run(kind, cfg)``'s records, each stepped from the one before by ``_successor_record``.
+
+    This is ``run`` without units-digit blocks: every record after the seed
+    comes from ``_SUCCESSORS[kind]`` through ``_record_after``.
+    """
+    records = [next(run(kind, cfg))]
+    while records[-1].value and len(records) < cfg.max_steps:
+        record = _successor_record(records[-1], kind, cfg.max_bits)
+        if record is None:  # the magnitude cap
+            break
+        records.append(record)
+    return records
 
 
 def cap_verdict(step, value, base, max_bits):
@@ -354,7 +370,7 @@ def test_a_successor_that_changes_a_digit_above_the_pivot_is_rendered_whole(monk
         return new_base, successor, value
 
     monkeypatch.setitem(_SUCCESSORS, RunKind.WEAK, lowered_lead)
-    records, _ = run_collected(RunKind.WEAK, RunConfig(3 ** (CUT + 2) * 2 + 5, 3, 20))
+    records = stepped_records(RunKind.WEAK, RunConfig(3 ** (CUT + 2) * 2 + 5, 3, 20))
     lowered = [
         nxt.index
         for prev, nxt in zip(records, records[1:])
