@@ -22,6 +22,12 @@ summaries and certificates, other JSON layouts and forgeries. For
 ``_read_trace`` it decodes every line and builds no successor, so
 ``verify_run(_read_trace(handle))``, whose result ``verify`` gives, is a
 reference that shares no text comparison with it.
+
+``run --format jsonl`` writes, and ``verify`` compares, record lines made
+by one formatter per trace, ``_jsonl_lines``. It keeps the JSON of the
+last record's high digits, all but the units digit, so a record that
+keeps them, as a units-only weak or decreasing step does, costs one
+f-string. ``_record_json`` is the line of one record on its own.
 """
 
 from __future__ import annotations
@@ -138,7 +144,8 @@ def _jsonl_lines() -> Callable[[StepRecord], str]:
         units = f'"{digits[-1]}"' if digits else ""
         return (
             f'{{"index": {record.index}, "base": "{record.base}", "value": "{record.value}", '
-            f'"digits": [{high_json}{units}], "rendered": {encode_basestring_ascii(record.rendered)}}}'
+            f'"digits": [{high_json}{units}], '
+            f'"rendered": {encode_basestring_ascii(record.rendered)}}}'
         )
 
     return line

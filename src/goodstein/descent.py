@@ -12,17 +12,21 @@ certificate.
 The verifier never assumes the property it checks. The seed is checked on
 its own: canonical digits that spell ``value`` in ``base`` and match
 ``rendered``. Every later record must equal the kind's successor of its
-predecessor, the one ``sequences.run`` takes (its text may reuse the
+predecessor, made by ``_SUCCESSORS`` (its text may reuse the
 predecessor's, which is checked by then), and then have the shape of a
-borrow: the step lowers the predecessor's last nonzero digit (for a
-strong step, its tree's last top-level term) and keeps every entry above
-it; a weak or decreasing step lowers it by one and leaves ``base - 1``
-below it. That closed form implies descent in the kind's order; for weak
-and decreasing runs it bounds every record's length by the seed's. A
-certificate keeps the seed, its digit count and one pivot per step. One
-loop, ``_certify``, checks the records that both ``verify_run`` and
-``goodstein verify`` read, and one function, ``_step``, checks each pair
-of them: ``check_step`` is that function on one pair.
+borrow. ``sequences.run`` takes the same successor, except on a weak or
+decreasing step that lowers only the units digit, which it builds from
+that step's closed form, so such a record is derived two ways. The
+shape of a borrow: the step lowers the predecessor's last nonzero digit
+(for a strong step, its tree's last top-level term) and keeps every
+entry above it; a weak or decreasing step lowers it by one and leaves
+``base - 1`` below it. That closed form implies descent in the kind's
+order; for weak and decreasing runs it bounds every record's length by
+the seed's. A certificate keeps the seed, its digit count and one pivot
+per step. One loop, ``_certify``, checks the records that both
+``verify_run`` and ``goodstein verify`` read, and one function,
+``_step``, checks each pair of them: ``check_step`` is that function on
+one pair.
 """
 
 from __future__ import annotations

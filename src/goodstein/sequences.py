@@ -3,8 +3,14 @@
 All three families share one driver: emit the seed record, then step
 from each record's digits until the value hits zero or a cap fires; only
 the seed converts a value to digits. Each kind has one successor in
-``_SUCCESSORS``, which ``run`` steps with and ``descent.check_step`` checks
-against. Decreasing and weak runs borrow one in the same or the next base.
+``_SUCCESSORS``, which ``descent.check_step`` checks against. Decreasing
+and weak runs borrow one in the same or the next base. Most of their
+steps lower only the units digit ``u``, so the ``u`` steps after a record
+with a nonzero units digit and a digit above it form a block, which
+``run`` builds from its closed form in ``_units_block``, without
+``_SUCCESSORS``: the verifiers derive those records a second way. ``run``
+takes every other step, a borrow from a zero units digit, a single-digit
+record or a strong step, with ``_SUCCESSORS``.
 The strong step rewrites the digit positions in hereditary notation first,
 which is why it explodes and needs a magnitude cap on top of the step cap:
 each nonzero coefficient moves to its position's hereditary form evaluated
@@ -238,12 +244,13 @@ def _units_block(prev: StepRecord, kind: RunKind, steps: int) -> Iterator[StepRe
     ``prev`` is a weak or decreasing record of at least two digits whose
     units digit ``u`` is nonzero; its other digits, ``high``, stay for
     ``u`` steps: Cichoń's ``H_{α+c}(n) = H_α(n+c)`` (Proc. AMS 87, 1983).
-    Record ``s``, from 1, has digits ``high + (u - s,)`` in base ``b = prev.base + s``
-    (weak) or ``prev.base`` (decreasing), value ``high`` evaluated in ``b``
-    times ``b`` plus ``u - s`` (weak) or ``prev.value - s`` (decreasing),
-    and ``prev``'s text up to its units digit followed by ``render`` of the
-    new units digit. Neither ``_SUCCESSORS`` nor ``_record_after`` runs, so
-    the verifiers, which do, derive these records another way.
+    Record ``s``, from 1, has digits ``high + (u - s,)`` in base
+    ``b = prev.base + s`` (weak) or ``prev.base`` (decreasing), value
+    ``high`` evaluated in ``b`` times ``b`` plus ``u - s`` (weak) or
+    ``prev.value - s`` (decreasing), and ``prev``'s text up to its units
+    digit followed by ``render`` of the new units digit. Neither
+    ``_SUCCESSORS`` nor ``_record_after`` runs, so the verifiers, which
+    do, derive these records another way.
     """
     high, u = prev.digits[:-1], prev.digits[-1]
     head = prev.rendered[: len(prev.rendered) - len(render(prev.digits[-1:], prev.base))]

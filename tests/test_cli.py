@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,11 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from goodstein import cli
+from goodstein import cli, sequences
 from goodstein.cli import _no_int_str_limit, _read_trace, _record_from_json, _record_json, main
 from goodstein.descent import verify_run
 from goodstein.errors import StepMismatch
-from goodstein.numerals import CUT, from_digits
+from goodstein.numerals import CUT, from_digits, render
 from goodstein.sequences import _SUCCESSORS, RunConfig, RunKind, StepRecord, run_collected
 from test_sequences import stepped_records
 
@@ -440,6 +441,44 @@ def test_a_borrow_that_leaves_the_wrong_tail_is_refused(tmp_path, capsys, monkey
     assert (code, out, err) == (4, "", f"error: {message}\n")
 
 
+# record -> the same record with one field wrong, and the refusal of the first one
+BLOCK_FORGERIES = {
+    "a weak step that keeps the base": (
+        lambda r: r._replace(base=r.base - 1),
+        "step 2: base 3 does not follow base 3",
+    ),
+    "a value off by one": (
+        lambda r: r._replace(value=r.value + 1),
+        "step 2: digits [1, 0, 0, 1] do not spell value 66 in base 4",
+    ),
+    "the text of the wrong units digit": (
+        lambda r: r._replace(rendered=render(r.digits[:-1] + (r.digits[-1] + 1,), r.base)),
+        "step 2: rendered '1002_4' does not match the digits",
+    ),
+}
+
+
+@pytest.mark.parametrize("forgery", list(BLOCK_FORGERIES))
+def test_a_wrong_units_block_is_refused(tmp_path, capsys, monkeypatch, forgery):
+    # from 10 the run takes 1010_2 -> 1002_3 by a borrow, then 1001_4 -> ... in
+    # a units-digit block, which the verifiers derive through _SUCCESSORS instead
+    forge, message = BLOCK_FORGERIES[forgery]
+    block = sequences._units_block
+
+    def wrong_block(prev, kind, steps):
+        return map(forge, block(prev, kind, steps))
+
+    monkeypatch.setattr(sequences, "_units_block", wrong_block)
+    records, _ = run_collected(RunKind.WEAK, RunConfig(10, max_steps=8))
+    assert [r.rendered for r in records[:2]] == ["1010_2", "1002_3"]
+    with pytest.raises(StepMismatch, match=f"^{re.escape(message)}$"):
+        verify_run(records)
+    path = tmp_path / "wrong_block.jsonl"
+    path.write_text(jsonl_trace(capsys, 10, 8))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert (code, out, err) == (4, "", f"error: {message}\n")
+
+
 def test_verify_empty_input(tmp_path, capsys):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
@@ -746,6 +785,31 @@ def test_record_json_matches_json_dumps(index, base, value, digits, rendered):
             }
         )
         assert _record_json(record) == expected
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from([(), (1,), (2,), (1, 0), (1, 1), (0, 1), (10, 2), (2, 10), (10**30, 0)]),
+            st.none() | st.integers(0, 12) | st.integers(10**20, 10**21),
+        ),
+        max_size=12,
+    )
+)
+# equal lengths, different high digits, in turn
+@example(steps=[((1, 0), 5), ((1, 1), 5), ((1, 1), 4), ((1, 0), 4), ((0, 1), 4)])
+@example(steps=[((), None), ((1,), None), ((), 1), ((), None)])  # the zero record between others
+def test_one_formatter_writes_json_dumps_of_every_record(steps):
+    # the formatter of one trace keeps the last high digits' JSON; each line must
+    # still be json.dumps of its own record's dict
+    line = cli._jsonl_lines()
+    for index, (high, units) in enumerate(steps):
+        digits = high if units is None else high + (units,)
+        record = StepRecord(index, 13 + index, 7 * index, digits, f"r{index}")
+        expected = {"index": index, "base": str(13 + index), "value": str(7 * index),
+                    "digits": [str(d) for d in digits], "rendered": f"r{index}"}
+        assert line(record) == json.dumps(expected) == _record_json(record)
 
 
 # --- the record field rule against a per-field reference --------------------------------

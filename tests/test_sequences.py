@@ -1,3 +1,4 @@
+import json
 import pickle
 from itertools import islice
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from goodstein.cli import _jsonl_lines
 from goodstein.descent import _successor_record
 from goodstein.errors import DomainError, InvalidBase, MagnitudeCapExceeded
 from goodstein.hereditary import build_hereditary
@@ -379,6 +381,46 @@ def test_a_successor_that_changes_a_digit_above_the_pivot_is_rendered_whole(monk
     assert len(lowered) >= 5
     for record in records:
         assert record.rendered == render(record.digits, record.base)
+
+
+@st.composite
+def block_seeds(draw):
+    """A weak or decreasing config whose seed's units digit starts a block.
+
+    The units digit is 1, ``base - 1``, 10 or 11 (where the text of the
+    digit loses its parentheses) or any digit; the seed has 2, 3 or more
+    than ``CUT`` digits; the step cap ends the first block early, exactly,
+    or is free up to 400 records, so a narrow decreasing run may reach zero.
+    """
+    kind = draw(st.sampled_from([RunKind.WEAK, RunKind.DECREASING]))
+    base = draw(st.integers(2, 300))
+    width = draw(st.sampled_from([2, 3, CUT + 1, CUT + 3]))
+    high = [draw(st.integers(1, base - 1))] + [draw(st.integers(0, base - 1)) for _ in range(width - 2)]
+    units = draw(st.sampled_from([1, base - 1, min(10, base - 1), min(11, base - 1)]) | st.integers(1, base - 1))
+    max_steps = draw(st.sampled_from([units + 1, max(1, units // 2)]) | st.integers(1, 400))
+    return kind, RunConfig(from_digits(high + [units], base), base, max_steps)
+
+
+@settings(deadline=None, max_examples=300)
+@given(seed=block_seeds())
+@example(seed=(RunKind.WEAK, RunConfig(3, 2, 10)))  # 11_2 -> 10_3 -> 2_4 -> 1_5 -> 0_6
+@example(seed=(RunKind.DECREASING, RunConfig(23, 11, 30)))  # (2, 1) in base 11 reaches zero
+@example(seed=(RunKind.WEAK, RunConfig(from_digits([1, 0, 11], 12), 12, 13)))  # (11) -> (10) -> 9
+@example(seed=(RunKind.DECREASING, RunConfig(from_digits([1] * CUT + [299], 300), 300, 300)))
+@example(seed=(RunKind.WEAK, RunConfig(2**999 + 12345, 2, 300)))
+def test_a_units_block_is_what_stepping_every_record_finds(seed):
+    # run builds units-only steps from their closed form; the reference steps
+    # every record with _SUCCESSORS, as the verifiers do
+    kind, cfg = seed
+    records = list(run(kind, cfg))
+    assert records == stepped_records(kind, cfg)
+    assert all(type(r.digits) is tuple for r in records)
+    line = _jsonl_lines()
+    for record in records:
+        index, base, value, digits, rendered = record
+        expected = {"index": index, "base": str(base), "value": str(value),
+                    "digits": [str(d) for d in digits], "rendered": rendered}
+        assert line(record) == json.dumps(expected)
 
 
 @settings(deadline=None)
