@@ -51,7 +51,6 @@ from .sequences import (
     RunOutcome,
     RunStatus,
     StepRecord,
-    decreasing_step,
     run,
     run_collected,
     strong_step,
@@ -82,7 +81,6 @@ __all__ = [
     "Underflow",
     "build_hereditary",
     "check_step",
-    "decreasing_step",
     "decrement_in_base",
     "eval_tree",
     "from_digits",

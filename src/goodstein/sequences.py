@@ -24,8 +24,8 @@ step that keeps the length and every digit above the predecessor's last
 nonzero one, as a borrow does, reuses the predecessor's text above that
 digit and renders only the rest, so its text costs what the step changes.
 ``weak_step`` and ``strong_step`` are ``to_digits`` followed by the run's
-own successor; the slow value-domain references the runs are checked
-against live in the tests.
+own successor; the slow references the runs are checked against, read
+straight off their definitions, live in ``tests/definitions.py``.
 """
 
 from __future__ import annotations
@@ -126,12 +126,6 @@ def strong_step(value: int, base: int, max_bits: int = DEFAULT_MAX_BITS) -> int:
     if value == 0:
         raise DomainError("strong step undefined at zero: the sequence has terminated")
     return _strong_successor(to_digits(value, base), base, max_bits)[2]
-
-
-def decreasing_step(value: int) -> int:
-    if value == 0:
-        raise DomainError("decreasing step undefined at zero: the sequence has terminated")
-    return value - 1
 
 
 def _bump(position: int, base: int, max_bits: int) -> int:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import definitions
 from goodstein import cli, sequences
 from goodstein.cli import _no_int_str_limit, _read_trace, _record_from_json, _record_json, main
 from goodstein.descent import verify_run
@@ -812,16 +813,7 @@ def test_one_formatter_writes_json_dumps_of_every_record(steps):
         assert line(record) == json.dumps(expected) == _record_json(record)
 
 
-# --- the record field rule against a per-field reference --------------------------------
-
-def decimal_reference(field):
-    """The rule ``-?[0-9]+`` on one field, spelled out character by character."""
-    if isinstance(field, str):
-        unsigned = field[1:] if field.startswith("-") else field
-        if unsigned and all(c in "0123456789" for c in unsigned):
-            return int(field)
-    raise ValueError(f"expected a decimal string, got {field!r}")
-
+# --- the record field rule against the definitions' per-field rule ---------------------
 
 def record_reference(obj):
     """``_record_from_json`` with every decimal field read on its own, in record order."""
@@ -832,9 +824,9 @@ def record_reference(obj):
         raise ValueError("index must be an integer, digits a list, rendered a string")
     record = StepRecord(
         index,
-        decimal_reference(obj["base"]),
-        decimal_reference(obj["value"]),
-        tuple(decimal_reference(digit) for digit in digits),
+        definitions.read_decimal(obj["base"]),
+        definitions.read_decimal(obj["value"]),
+        tuple(definitions.read_decimal(digit) for digit in digits),
         rendered,
     )
     keys = {"index", "base", "value", "digits", "rendered"}

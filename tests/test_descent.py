@@ -7,21 +7,18 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import definitions
 from goodstein import descent
 from goodstein.descent import check_step, rank, verify_run
-from goodstein.errors import (
-    ArityExceeded, DigitOutOfRange, EmptyRun, GoodsteinError, MagnitudeCapExceeded, StepMismatch
-)
+from goodstein.errors import ArityExceeded, DigitOutOfRange, EmptyRun, GoodsteinError, StepMismatch
 from goodstein.hereditary import build_from_digits
-from goodstein.numerals import CUT, Ordering, from_digits, lex_compare, render, to_digits
-from goodstein.sequences import (
-    _SUCCESSORS, RunConfig, RunKind, StepRecord, run, run_collected, weak_step
-)
+from goodstein.numerals import CUT, Ordering, from_digits, lex_compare
+from goodstein.sequences import _SUCCESSORS, RunConfig, RunKind, StepRecord, run, run_collected
 
 
 def make_record(index, base, value):
-    digits = to_digits(value, base)
-    return StepRecord(index, base, value, digits, render(digits, base))
+    digits = definitions.digits_of(value, base)
+    return StepRecord(index, base, value, digits, definitions.render(digits, base))
 
 
 def weak_records(start, steps, start_base=2):
@@ -154,7 +151,7 @@ def test_check_step_rejects_a_forgery_of_a_huge_successor_fast(monkeypatch):
 def test_verify_run_rejects_a_forged_wide_seed_fast():
     # read in this 300-digit base, the 20,001 digits would spell a number of about 2e7 bits
     base, digits = 10**299 + 7, (1,) + (0,) * 20_000
-    forged = StepRecord(0, base, 1, digits, render(digits, base))
+    forged = StepRecord(0, base, 1, digits, definitions.render(digits, base))
     began = time.perf_counter()
     with pytest.raises(StepMismatch, match="do not spell value 1 in base") as exc:
         verify_run([forged])
@@ -261,42 +258,34 @@ def test_a_forged_value_past_the_int_str_limit_is_named_by_its_width():
         sys.set_int_max_str_digits(previous)
 
 
-def decimal(value):
-    """A value as a refusal names it: in decimal, or by its width past the int<->str limit."""
-    try:
-        return str(value)
-    except ValueError:
-        return f"of {value.bit_length()} bits"
-
-
 def ordered_check(prev, nxt, kind):
     """The first failing check of a pair, field by field in ``check_step``'s order.
 
     Returns ``(step index, reason)``, or None for a genuine, descending step.
+    The expected successor and every name in a reason come from ``definitions``.
     """
     if nxt.index != prev.index + 1:
         return nxt.index, f"record index {nxt.index} does not follow {prev.index}"
     if not any(prev.digits):
         return nxt.index, "predecessor value is already zero"
-    try:
-        cap = (nxt.value + 1).bit_length()
-        base, digits, value = _SUCCESSORS[kind](prev.digits, prev.base, cap)
-    except MagnitudeCapExceeded:
-        base = digits = value = None
+    successor = definitions.step(kind.value, prev.value, prev.base, (nxt.value + 1).bit_length())
+    base, value = successor or (None, None)
+    digits = None if successor is None else definitions.digits_of(value, base)
+    named = definitions.named
     if nxt.value != value and nxt.digits != digits:
-        claimed = f"value {decimal(nxt.value)} is not a {kind.value} successor"
-        return nxt.index, f"{claimed} of {decimal(prev.value)}"
+        claimed = f"value {named(nxt.value)} is not a {kind.value} successor"
+        return nxt.index, f"{claimed} of {named(prev.value)}"
     if nxt.value != value or nxt.digits != digits:
-        spelled = f"digits {list(nxt.digits)} do not spell value {decimal(nxt.value)}"
+        spelled = f"digits {list(nxt.digits)} do not spell value {named(nxt.value)}"
         return nxt.index, f"{spelled} in base {base}"
     if nxt.base != base:
         return nxt.index, f"base {nxt.base} does not follow base {prev.base}"
-    if nxt.rendered != render(digits, base):
+    if nxt.rendered != definitions.render(digits, base):
         return nxt.index, f"rendered {nxt.rendered!r} does not match the digits"
-    if kind is RunKind.STRONG:
-        if not build_from_digits(digits, base) < build_from_digits(prev.digits, prev.base):
+    order = definitions.order_key
+    if not order(kind.value, value, base) < order(kind.value, prev.value, prev.base):
+        if kind is RunKind.STRONG:
             return nxt.index, "hereditary trees do not descend in Cantor normal form order"
-    elif lex_compare(digits, prev.digits) is not Ordering.LESS:
         return nxt.index, "digits do not descend in length-first lexicographic order"
     return None
 
@@ -503,24 +492,9 @@ def test_verify_run_flags_tampered_value():
     assert excinfo.value.index == 30
 
 
-def first_difference(kind, prev, nxt):
-    """The pivot of one step, found by a scan: the first position where the digits,
-    zero-padded on the left to one width (weak and decreasing), or the top-level
-    terms of the hereditary trees (strong) differ; a proper prefix differs at its end."""
-    if kind is RunKind.STRONG:
-        before = build_from_digits(prev.digits, prev.base)
-        after = build_from_digits(nxt.digits, nxt.base)
-    else:
-        width = max(len(prev.digits), len(nxt.digits))
-        before = [0] * (width - len(prev.digits)) + list(prev.digits)
-        after = [0] * (width - len(nxt.digits)) + list(nxt.digits)
-    changed = (i for i, (a, b) in enumerate(zip(after, before)) if a != b)
-    return next(changed, min(len(after), len(before)))
-
-
 def first_differences(records, kind=RunKind.WEAK):
-    """The scanned pivot of each step of a run."""
-    return tuple(first_difference(kind, prev, nxt) for prev, nxt in zip(records, records[1:]))
+    """The pivot of each step of a run, as a scan of the definitions finds it."""
+    return tuple(definitions.pivot(kind.value, *pair) for pair in zip(records, records[1:]))
 
 
 @pytest.mark.parametrize(
@@ -564,38 +538,9 @@ def test_strong_evidence_is_the_first_differing_term():
     assert verify_run(records, RunKind.STRONG).evidence[:3] == (1, 0, 0)
 
 
-def closed_form_pivot(kind, prev):
-    """A genuine step's pivot, without a scan: the predecessor's last nonzero digit
-    (weak and decreasing), or its last top-level term (strong)."""
-    nonzero = [i for i, digit in enumerate(prev.digits) if digit]
-    return len(nonzero) - 1 if kind is RunKind.STRONG else nonzero[-1]
-
-
 # every position of the strong seed is below its base, so no term moves and
 # its trees keep more than CUT top-level terms
 WIDE_STRONG_SEED = (RunKind.STRONG, from_digits([7] * (CUT + 6), 100), 100)
-
-
-@settings(deadline=None, max_examples=200)
-@given(
-    seed=st.one_of(
-        st.tuples(st.sampled_from(list(RunKind)), st.integers(1, 200), st.integers(2, 6)),
-        st.tuples(
-            st.sampled_from([RunKind.WEAK, RunKind.DECREASING]),
-            st.integers(2**CUT, 2 ** (CUT + 8)),
-            st.just(2),
-        ),
-        st.just(WIDE_STRONG_SEED),
-    )
-)
-@example(seed=(RunKind.WEAK, 2**CUT, 2))
-@example(seed=(RunKind.DECREASING, 2 ** (CUT + 8), 2))
-@example(seed=WIDE_STRONG_SEED)
-def test_a_genuine_pivot_has_a_closed_form(seed):
-    kind, start, start_base = seed
-    records = kind_records(kind, start, 30, start_base)
-    cert = verify_run(records, kind)
-    assert cert.evidence == tuple(closed_form_pivot(kind, prev) for prev in records[:-1])
 
 
 @settings(deadline=None, max_examples=200)
@@ -605,6 +550,12 @@ def test_a_genuine_pivot_has_a_closed_form(seed):
             st.sampled_from([RunKind.WEAK, RunKind.DECREASING]),
             st.integers(1, 2 ** (CUT + 8)),
             st.integers(2, 6),
+            st.integers(0, 2),
+        ),
+        st.tuples(
+            st.sampled_from([RunKind.WEAK, RunKind.DECREASING]),
+            st.integers(2**CUT, 2 ** (CUT + 8)),
+            st.just(2),
             st.integers(0, 2),
         ),
         st.tuples(
@@ -620,14 +571,14 @@ def test_a_genuine_pivot_has_a_closed_form(seed):
 @example(seed=(RunKind.WEAK, 2, 2, 1))  # check_step of (0, 1, 0) in base 2 -> 2_3: pivot 1
 @example(seed=(RunKind.STRONG, 11, 2, 1))  # check_step of (0, 1, 0, 1, 1) in base 2: pivot 2
 def test_the_pivot_is_the_first_difference_a_scan_finds(seed):
-    # differential: the closed-form pivot against the scan it replaced, on
+    # differential: the closed-form pivot against the definitions' scan, on
     # verify_run and on check_step of predecessors with `lead` leading zeros
     kind, start, start_base, lead = seed
     records = kind_records(kind, start, 30, start_base)
     assert verify_run(records, kind).evidence == first_differences(records, kind)
     for prev, nxt in zip(records, records[1:]):
         padded = prev._replace(digits=(0,) * lead + prev.digits)
-        assert check_step(padded, nxt, kind) == first_difference(kind, padded, nxt)
+        assert check_step(padded, nxt, kind) == definitions.pivot(kind.value, padded, nxt)
 
 
 def test_decreasing_traces_verify():
@@ -648,24 +599,17 @@ def test_certificate_completeness_over_generated_runs():
 
 # --- the descent property itself ----------------------------------------------------
 
-def test_descent_exhaustive():
-    checked = 0
-    for base in range(2, 21):
-        for value in range(1, 1001):
-            before = to_digits(value, base)
-            after = to_digits(weak_step(value, base), base + 1)
-            assert len(after) <= len(before)
-            assert lex_compare(after, before) is Ordering.LESS
-            checked += 1
-    assert checked == 19_000
-
-
-@given(value=st.integers(1, 10**15), base=st.integers(2, 200))
-def test_descent_hypothesis(value, base):
-    before = to_digits(value, base)
-    after = to_digits(weak_step(value, base), base + 1)
-    assert len(after) <= len(before)
-    assert lex_compare(after, before) is Ordering.LESS
+@given(
+    kind=st.sampled_from(["decreasing", "weak", "strong"]),
+    value=st.integers(1, 10**15),
+    base=st.integers(2, 200),
+)
+def test_descent_hypothesis(kind, value, base):
+    # the theorem on the definitions: every step lowers the record in its kind's order
+    successor = definitions.step(kind, value, base, 10**4)
+    assume(successor is not None)
+    after = definitions.order_key(kind, successor[1], successor[0])
+    assert after < definitions.order_key(kind, value, base)
 
 
 # --- rank ------------------------------------------------------------------------------

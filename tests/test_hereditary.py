@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import definitions
 from goodstein.errors import CoefficientOutOfRange, DomainError, InvalidBase
 from goodstein.hereditary import (
     build_from_digits,
@@ -45,7 +46,8 @@ def test_build_constant_is_leaf(base):
 
 @given(value=st.integers(0, 10**9), base=st.integers(2, 16))
 def test_build_from_digits_matches_build(value, base):
-    assert build_from_digits(to_digits(value, base), base) == build_hereditary(value, base)
+    tree = build_from_digits(to_digits(value, base), base)
+    assert tree == build_hereditary(value, base) == definitions.hereditary(value, base)
 
 
 def test_build_rejects_bad_input():

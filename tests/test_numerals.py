@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import definitions
 from goodstein.errors import DigitOutOfRange, DomainError, InvalidBase, Underflow
 from goodstein.numerals import (
     CUT,
@@ -19,23 +20,6 @@ from goodstein.numerals import (
     render,
     to_digits,
 )
-
-
-def digits_by_divmod(value, base):
-    """Independent digit oracle: collect remainders, least significant first."""
-    out = []
-    while value:
-        value, r = divmod(value, base)
-        out.append(r)
-    return tuple(reversed(out))
-
-
-def value_by_horner(digits, base):
-    """Independent value oracle: Horner's rule over the whole sequence."""
-    value = 0
-    for digit in digits:
-        value = value * base + digit
-    return value
 
 
 # Small, CUT-sized, word-crossing and very large bases.
@@ -80,7 +64,7 @@ def test_to_digits_large_base_3_value():
     # 2*3**18 + 3**2 + 1; frozen from the divmod oracle
     expected = (2,) + (0,) * 15 + (1, 0, 1)
     assert 2 * 3**18 + 3**2 + 1 == 774840988
-    assert digits_by_divmod(774840988, 3) == expected
+    assert definitions.digits_of(774840988, 3) == expected
     assert to_digits(774840988, 3) == expected
 
 
@@ -146,7 +130,7 @@ def test_round_trip_exhaustive_small():
 @given(value=st.integers(0, 10**60), base=st.integers(2, 1000))
 def test_round_trip_hypothesis(value, base):
     digits = to_digits(value, base)
-    assert digits == digits_by_divmod(value, base)
+    assert digits == definitions.digits_of(value, base)
     assert from_digits(digits, base) == value
 
 
@@ -154,14 +138,14 @@ def test_round_trip_hypothesis(value, base):
 @given(data=st.data(), base=BASES)
 def test_to_digits_matches_divmod_loop(data, base):
     value = data.draw(wide_values(base))
-    assert to_digits(value, base) == digits_by_divmod(value, base)
+    assert to_digits(value, base) == definitions.digits_of(value, base)
 
 
 @settings(deadline=None, max_examples=150)
 @given(data=st.data(), base=BASES, leading_zeros=st.integers(0, 3))
 def test_from_digits_matches_horner(data, base, leading_zeros):
-    digits = (0,) * leading_zeros + digits_by_divmod(data.draw(wide_values(base)), base)
-    assert from_digits(digits, base) == value_by_horner(digits, base)
+    digits = (0,) * leading_zeros + definitions.digits_of(data.draw(wide_values(base)), base)
+    assert from_digits(digits, base) == definitions.value_of(digits, base)
 
 
 @given(
@@ -174,7 +158,7 @@ def test_from_digits_matches_horner_on_digit_runs(base, blocks):
     # runs of one repeated digit put zero blocks (and base-1 blocks) on
     # both sides of every split point
     digits = tuple(d % base for d, length in blocks for _ in range(length))
-    assert from_digits(digits, base) == value_by_horner(digits, base)
+    assert from_digits(digits, base) == definitions.value_of(digits, base)
 
 
 def test_radix_conversion_at_block_boundaries():
@@ -182,7 +166,7 @@ def test_radix_conversion_at_block_boundaries():
         for k in (CUT - 1, CUT, CUT + 1, 2 * CUT, 2 * CUT + 1, 4 * CUT - 1, 4 * CUT):
             for value in (base**k - 1, base**k, base**k + 1, base ** (2 * k) + base**k):
                 digits = to_digits(value, base)
-                assert digits == digits_by_divmod(value, base)
+                assert digits == definitions.digits_of(value, base)
                 assert from_digits(digits, base) == value
 
 
@@ -222,7 +206,7 @@ def digit_lists(draw, base):
 @given(data=st.data(), base=st.sampled_from(EVALUATED_BASES))
 def test_evaluate_and_horner_match_one_digit_horner(data, base):
     digits = data.draw(digit_lists(base))
-    expected = value_by_horner(digits, base)
+    expected = definitions.value_of(digits, base)
     assert _horner(digits, base) == expected
     assert _evaluate(digits, base) == expected
 
@@ -237,7 +221,7 @@ def test_evaluate_and_horner_match_one_digit_horner_at_every_edge_length(base):
             (base - 1,) * length,
             (1,) + (0,) * (length - 1) if length else (),
         ):
-            expected = value_by_horner(digits, base)
+            expected = definitions.value_of(digits, base)
             assert _horner(digits, base) == expected, (length, digits)
             assert _evaluate(digits, base) == expected, (length, digits)
 
@@ -258,14 +242,14 @@ def test_to_digits_around_the_first_power_of_a_huge_base(base):
     edge = 2 ** (CUT * (base.bit_length() - 1))
     for value in (1, 5, base - 1, base, base + 1, edge - 1, edge, power - 1, power, power + 1):
         digits = to_digits(value, base)
-        assert digits == digits_by_divmod(value, base)
+        assert digits == definitions.digits_of(value, base)
         assert from_digits(digits, base) == value
 
 
 def test_to_digits_of_small_values_in_a_100000_bit_base():
     base = 2**100_000 + 1
     for value in (0, 1, 5, 2**99_999, base - 1, base, base + 1, base * (base - 1)):
-        assert to_digits(value, base) == digits_by_divmod(value, base)
+        assert to_digits(value, base) == definitions.digits_of(value, base)
 
 
 @pytest.mark.parametrize(
@@ -275,7 +259,7 @@ def test_to_digits_of_small_values_in_a_100000_bit_base():
 )
 def test_to_digits_of_values_past_the_recursive_division_limit(value, base):
     # 1e5 to 2e5 bits: the top splits divide by recursion, not by the builtin
-    assert to_digits(value, base) == digits_by_divmod(value, base)
+    assert to_digits(value, base) == definitions.digits_of(value, base)
 
 
 # --- _divmod -------------------------------------------------------------------
@@ -371,7 +355,7 @@ def test_decrement_matches_value_oracle_exhaustive():
 @given(value=st.integers(1, 10**40), base=st.integers(2, 100))
 def test_decrement_matches_value_oracle_hypothesis(value, base):
     digits = to_digits(value, base)
-    assert decrement_in_base(digits, base) == to_digits(value - 1, base)
+    assert decrement_in_base(digits, base) == definitions.digits_of(value - 1, base)
 
 
 def test_decrement_strips_leading_zeros_from_noncanonical_input():
@@ -488,8 +472,7 @@ def numerals_around_the_byte_gate(draw):
 @example(numeral=([300, 1], 257))
 def test_render_matches_per_digit_formatting(numeral):
     digits, base = numeral
-    body = "".join([str(d) if d < 10 else f"({d})" for d in digits]) or "0"
-    assert render(digits, base) == render(tuple(digits), base) == f"{body}_{base}"
+    assert render(digits, base) == render(tuple(digits), base) == definitions.render(digits, base)
 
 
 # --- power_predecessor ----------------------------------------------------------------

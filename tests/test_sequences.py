@@ -1,16 +1,19 @@
+import ast
 import json
 import pickle
+import sys
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import definitions
 from goodstein.cli import _jsonl_lines
 from goodstein.descent import _successor_record
 from goodstein.errors import DomainError, InvalidBase, MagnitudeCapExceeded
-from goodstein.hereditary import build_hereditary
-from goodstein.numerals import CUT, from_digits, render, to_digits
+from goodstein.numerals import CUT, from_digits, render
 from goodstein.sequences import (
     _SUCCESSORS,
     DEFAULT_MAX_BITS,
@@ -19,55 +22,11 @@ from goodstein.sequences import (
     RunKind,
     RunOutcome,
     RunStatus,
-    decreasing_step,
     run,
     run_collected,
     strong_step,
     weak_step,
 )
-
-
-def weak_bump_oracle(value, base):
-    """Independent weak-step oracle: rebuild the value digit by digit in base+1."""
-    total, power = 0, 1
-    while value:
-        value, digit = divmod(value, base)
-        total += digit * power
-        power *= base + 1
-    return total - 1
-
-
-def hereditary_bump_oracle(value, old, new):
-    """Independent strong-bump oracle: recursive value-domain base swap."""
-    total, position = 0, 0
-    while value:
-        value, digit = divmod(value, old)
-        if digit:
-            total += digit * new ** hereditary_bump_oracle(position, old, new)
-        position += 1
-    return total
-
-
-def eval_capped_reference(tree, base, max_bits):
-    """Evaluate a hereditary tree term by term, refusing to grow past ``max_bits`` bits."""
-    total = 0
-    for exponent_tree, coefficient in tree:
-        exponent = eval_capped_reference(exponent_tree, base, max_bits)
-        if exponent_tree and exponent >= max_bits:
-            raise MagnitudeCapExceeded(exponent + 1)
-        total += coefficient * base**exponent
-        if total.bit_length() > max_bits:
-            raise MagnitudeCapExceeded(total.bit_length())
-    return total
-
-
-def strong_step_reference(value, base, max_bits):
-    """Slow strong step: the whole hereditary tree of ``value``, summed in ``base + 1``, minus one.
-
-    Each nonzero digit costs one full-width power and one add; ``strong_step``
-    moves digits instead, so the two share no arithmetic beyond ``build_hereditary``.
-    """
-    return eval_capped_reference(build_hereditary(value, base), base + 1, max_bits) - 1
 
 
 def stepped_records(kind, cfg):
@@ -85,13 +44,33 @@ def stepped_records(kind, cfg):
     return records
 
 
-def cap_verdict(step, value, base, max_bits):
-    """The step's value, or None where it raises MagnitudeCapExceeded."""
+def strong_verdict(value, base, max_bits):
+    """``strong_step`` as ``definitions.step`` reports it: ``(base, value)``, None past the cap."""
     try:
-        return step(value, base, max_bits)
+        return base + 1, strong_step(value, base, max_bits)
     except MagnitudeCapExceeded as exc:
         assert exc.bit_length > max_bits
         return None
+
+
+def reference_run(kind, cfg):
+    """``run_collected(kind, cfg)``'s records and status, as the definitions find them."""
+    records, status = definitions.run(kind.value, *cfg)
+    return records, RunStatus(status)
+
+
+def test_the_definitions_import_only_the_standard_library():
+    # the tests' trusted base must not lean on the package it checks
+    tree = ast.parse(Path(definitions.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+        else:
+            continue
+        for name in names:
+            assert name.split(".")[0] in sys.stdlib_module_names, name
 
 
 # --- single steps ------------------------------------------------------------
@@ -110,7 +89,7 @@ def test_weak_step_domain():
 
 @given(value=st.integers(1, 10**12), base=st.integers(2, 50))
 def test_weak_step_matches_oracle(value, base):
-    assert weak_step(value, base) == weak_bump_oracle(value, base)
+    assert (base + 1, weak_step(value, base)) == definitions.step("weak", value, base, 1)
 
 
 def test_weak_step_grows_on_multi_digit_values():
@@ -127,8 +106,8 @@ def test_strong_step_cases(value, base, expected):
 def test_strong_step_matches_oracle():
     for base in range(2, 7):
         for value in range(1, 300):
-            expected = hereditary_bump_oracle(value, base, base + 1) - 1
-            assert strong_step(value, base) == expected
+            expected = definitions.step("strong", value, base, DEFAULT_MAX_BITS)
+            assert (base + 1, strong_step(value, base)) == expected
 
 
 @settings(deadline=None)
@@ -139,14 +118,12 @@ def test_strong_step_matches_slow_reference(value, base, max_bits):
     # same value and same cap verdict, at the drawn cap and, where the
     # bumped value is not astronomically wide, on both sides of its width
     caps = {max_bits}
-    successor = cap_verdict(strong_step_reference, value, base, 10**5)
+    successor = definitions.step("strong", value, base, 10**5)
     if successor is not None:
-        bumped_bits = (successor + 1).bit_length()
+        bumped_bits = (successor[1] + 1).bit_length()
         caps |= {bumped_bits, max(bumped_bits - 1, 1)}
     for cap in caps:
-        assert cap_verdict(strong_step, value, base, cap) == cap_verdict(
-            strong_step_reference, value, base, cap
-        )
+        assert strong_verdict(value, base, cap) == definitions.step("strong", value, base, cap)
 
 
 def test_strong_step_domain():
@@ -165,14 +142,6 @@ def test_strong_step_magnitude_cap_counts_the_units_digit():
     with pytest.raises(MagnitudeCapExceeded):
         strong_step(126, 55, max_bits=7)
     assert strong_step(126, 55, max_bits=8) == 127
-
-
-def test_decreasing_step():
-    assert decreasing_step(24) == 23
-    assert decreasing_step(108) == 107
-    assert decreasing_step(1) == 0
-    with pytest.raises(DomainError):
-        decreasing_step(0)
 
 
 # --- runs ---------------------------------------------------------------------
@@ -271,16 +240,6 @@ def test_strong_run_from_16_hits_magnitude_cap():
     assert outcome.final.value.bit_length() <= 2000
 
 
-REFERENCE_STEPS = {
-    RunKind.DECREASING: lambda value, base, max_bits: (decreasing_step(value), base),
-    RunKind.WEAK: lambda value, base, max_bits: (weak_step(value, base), base + 1),
-    RunKind.STRONG: lambda value, base, max_bits: (
-        strong_step_reference(value, base, max_bits),
-        base + 1,
-    ),
-}
-
-
 @given(
     kind=st.sampled_from(list(RunKind)),
     start=st.integers(0, 300),
@@ -289,34 +248,12 @@ REFERENCE_STEPS = {
     max_bits=st.integers(1, 4000),
 )
 def test_record_consistency_along_runs(kind, start, base, max_steps, max_bits):
-    # the whole run, outcome included, is what stepping the reference finds
+    # the whole run, every field and the outcome, is what stepping the definitions finds
     cfg = RunConfig(start, base, max_steps, max_bits)
     records, outcome = run_collected(kind, cfg)
-    step = REFERENCE_STEPS[kind]
-    expected = [(0, base, start)]
-    status = None
-    while status is None:
-        index, base_now, value = expected[-1]
-        if value == 0:
-            status = RunStatus.TERMINATED_AT_ZERO
-        elif len(expected) == max_steps:
-            status = RunStatus.STEP_CAP_REACHED
-        else:
-            try:
-                value, base_now = step(value, base_now, max_bits)
-            except MagnitudeCapExceeded:
-                status = RunStatus.MAGNITUDE_CAP_REACHED
-            else:
-                expected.append((index + 1, base_now, value))
-    assert [(r.index, r.base, r.value) for r in records] == expected
-    assert (outcome.status, outcome.steps_emitted, outcome.final) == (
-        status,
-        len(expected),
-        records[-1],
-    )
-    for record in records:
-        assert record.digits == to_digits(record.value, record.base)
-        assert record.rendered == render(record.digits, record.base)
+    expected, status = reference_run(kind, cfg)
+    assert records == expected
+    assert outcome == (status, len(expected), records[-1])
 
 
 @st.composite
@@ -409,11 +346,11 @@ def block_seeds(draw):
 @example(seed=(RunKind.DECREASING, RunConfig(from_digits([1] * CUT + [299], 300), 300, 300)))
 @example(seed=(RunKind.WEAK, RunConfig(2**999 + 12345, 2, 300)))
 def test_a_units_block_is_what_stepping_every_record_finds(seed):
-    # run builds units-only steps from their closed form; the reference steps
-    # every record with _SUCCESSORS, as the verifiers do
+    # run builds units-only steps from their closed form; the definitions step
+    # every record from its value
     kind, cfg = seed
     records = list(run(kind, cfg))
-    assert records == stepped_records(kind, cfg)
+    assert records == reference_run(kind, cfg)[0]
     assert all(type(r.digits) is tuple for r in records)
     line = _jsonl_lines()
     for record in records:
@@ -426,37 +363,19 @@ def test_a_units_block_is_what_stepping_every_record_finds(seed):
 @settings(deadline=None)
 @given(value=st.integers(1, 10**6 - 1), base=st.integers(2, 20))
 def test_tree_domain_strong_step_matches_strong_step(value, base):
-    # run moves the record's digits to their bumped positions; the slow
-    # reference sums the value's whole hereditary tree
-    max_bits = 10**4
-    records, outcome = run_collected(RunKind.STRONG, RunConfig(value, base, 2, max_bits))
-    try:
-        expected = strong_step_reference(value, base, max_bits)
-    except MagnitudeCapExceeded:
-        assert outcome.status is RunStatus.MAGNITUDE_CAP_REACHED
-        assert records == [outcome.final]
-        return
-    assert [(r.index, r.base, r.value) for r in records] == [
-        (0, base, value),
-        (1, base + 1, expected),
-    ]
-    assert records[1].digits == to_digits(expected, base + 1)
+    # run moves the record's digits to their bumped positions; the definitions
+    # read the value's whole hereditary form in the next base
+    cfg = RunConfig(value, base, 2, 10**4)
+    records, outcome = run_collected(RunKind.STRONG, cfg)
+    assert (records, outcome.status) == reference_run(RunKind.STRONG, cfg)
 
 
 def test_wide_strong_run_matches_the_slow_reference():
     # from 16 to 52,000 bits positions pass base**2 and whole 64-digit
     # blocks are zero, which the narrow hypothesis draws never reach
-    max_bits = 52_000
-    records, outcome = run_collected(RunKind.STRONG, RunConfig(16, max_bits=max_bits))
-    values = [16]
-    while True:
-        try:
-            values.append(strong_step_reference(values[-1], 2 + len(values) - 1, max_bits))
-        except MagnitudeCapExceeded:
-            break
-    assert [(r.index, r.base, r.value) for r in records] == [
-        (index, 2 + index, value) for index, value in enumerate(values)
-    ]
+    cfg = RunConfig(16, max_bits=52_000)
+    records, outcome = run_collected(RunKind.STRONG, cfg)
+    assert (records, outcome.status) == reference_run(RunKind.STRONG, cfg)
     assert outcome.status is RunStatus.MAGNITUDE_CAP_REACHED
     assert max(len(r.digits) for r in records) > records[-1].base ** 2
     widest = max(records, key=lambda r: len(r.digits)).digits
@@ -466,23 +385,9 @@ def test_wide_strong_run_matches_the_slow_reference():
 
 @given(start=st.integers(1, 300), base=st.integers(2, 8), max_bits=st.integers(1, 200))
 def test_magnitude_cap_fires_where_strong_step_refuses(start, base, max_bits):
-    max_steps = 60
-    records, outcome = run_collected(RunKind.STRONG, RunConfig(start, base, max_steps, max_bits))
-    values = [start]
-    while True:
-        if values[-1] == 0:
-            status = RunStatus.TERMINATED_AT_ZERO
-            break
-        if len(values) == max_steps:
-            status = RunStatus.STEP_CAP_REACHED
-            break
-        try:
-            values.append(strong_step_reference(values[-1], base + len(values) - 1, max_bits))
-        except MagnitudeCapExceeded:
-            status = RunStatus.MAGNITUDE_CAP_REACHED
-            break
-    assert [r.value for r in records] == values
-    assert outcome.status is status
+    cfg = RunConfig(start, base, 60, max_bits)
+    records, outcome = run_collected(RunKind.STRONG, cfg)
+    assert (records, outcome.status) == reference_run(RunKind.STRONG, cfg)
 
 
 def test_run_streams_lazily():
