@@ -12,9 +12,12 @@ certificate.
 The verifier never assumes the property it checks. The seed is checked on
 its own: canonical digits that spell ``value`` in ``base`` and match
 ``rendered``. Every later record must equal the kind's successor of its
-predecessor, made by ``_SUCCESSORS`` (its text may reuse the
-predecessor's, which is checked by then), and then have the shape of a
-borrow. ``sequences.run`` takes the same successor, except on a weak or
+predecessor, made by ``_SUCCESSORS``, and then have the shape of a
+borrow. A wide weak or decreasing successor that keeps the length takes
+the predecessor's text, checked by then, above its last nonzero digit:
+the shape check proves those digits kept before the pair is certified,
+so the lent text is certified only where it is the rendering.
+``sequences.run`` takes the same successor, except on a weak or
 decreasing step that lowers only the units digit, which it builds from
 that step's closed form, so such a record is derived two ways. The
 shape of a borrow: the step lowers the predecessor's last nonzero digit
@@ -35,8 +38,8 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ArityExceeded, DomainError, EmptyRun, MagnitudeCapExceeded, StepMismatch
 from .hereditary import HereditaryTree, build_from_digits
-from .numerals import _check_digits, render, to_digits
-from .sequences import _SUCCESSORS, RunKind, StepRecord, _record_after
+from .numerals import CUT, _check_digits, render, to_digits
+from .sequences import _SUCCESSORS, RunKind, StepRecord
 
 
 class DescentCertificate(NamedTuple):
@@ -96,7 +99,8 @@ def check_step(prev: StepRecord, nxt: StepRecord, kind: RunKind = RunKind.WEAK) 
     among the digits zero-padded to one width (weak and decreasing), or of
     the last top-level term of its hereditary tree (strong), the first
     position where the step's digits or terms differ. ``prev``'s text is
-    rendered again, so past the int<->str limit its base raises ValueError.
+    not checked, so the text lent to a wide successor is ``prev``'s digits
+    rendered again; past the int<->str limit its base raises ValueError.
     """
     expected = None
     if nxt.index == prev.index + 1:  # else _step reports the index first
@@ -110,10 +114,17 @@ def check_step(prev: StepRecord, nxt: StepRecord, kind: RunKind = RunKind.WEAK) 
 def _successor_record(prev: StepRecord, kind: RunKind, cap: int) -> Optional[StepRecord]:
     """The ``kind`` successor record of a checked ``prev``, under ``cap`` bits.
 
-    ``prev``'s digits must be in range and its text their rendering, which
-    ``sequences._record_after`` reuses. None when ``prev`` is zero or the
-    successor is wider than ``cap`` bits. Its ``rendered`` is None when its
-    base has no decimal text under CPython's int<->str limit.
+    ``prev``'s digits must be in range and its text their rendering. None
+    when ``prev`` is zero or the successor is wider than ``cap`` bits. A
+    weak or decreasing successor as long as ``prev``, past ``CUT`` digits,
+    takes ``prev``'s text up to ``prev``'s last nonzero digit ``p`` and
+    renders only ``digits[p:]``, unchecked: ``_step`` proves
+    ``digits[:p] == prev.digits[:p]`` before it certifies the pair. A
+    digit's text does not depend on the base, so ``p``'s text starts where
+    the rendering of ``prev.digits[p:]`` starts at the end of ``prev``'s.
+    Any other successor, strong ones included, is rendered whole. Its
+    ``rendered`` is None when its base has no decimal text under CPython's
+    int<->str limit.
     """
     if not any(prev.digits):
         return None
@@ -121,10 +132,19 @@ def _successor_record(prev: StepRecord, kind: RunKind, cap: int) -> Optional[Ste
         base, digits, value = _SUCCESSORS[kind](prev.digits, prev.base, cap)
     except MagnitudeCapExceeded:
         return None
+    n, rendered = len(digits), None
     try:
-        return _record_after(prev, base, value, digits)
+        if kind is RunKind.STRONG or n <= CUT or n != len(prev.digits):
+            rendered = render(digits, base)
+        else:
+            p = n - 1
+            while not prev.digits[p]:
+                p -= 1
+            cut = len(prev.rendered) - len(render(prev.digits[p:], prev.base))
+            rendered = prev.rendered[:cut] + render(digits[p:], base)
     except ValueError:  # past the int<->str limit: _step renders it if it must
-        return StepRecord(prev.index + 1, base, value, digits, None)
+        pass
+    return StepRecord(prev.index + 1, base, value, digits, rendered)
 
 
 def _step(

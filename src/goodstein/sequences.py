@@ -19,10 +19,8 @@ without building a tree, then the same borrow applies. Each record's
 digits come out of that borrow (or, for the seed, out of ``to_digits``)
 canonical and in range, so the successors call the unchecked kernels
 behind ``decrement_in_base`` and ``from_digits`` and check no digit twice.
-``_record_after`` builds each later record from its predecessor: a wide
-step that keeps the length and every digit above the predecessor's last
-nonzero one, as a borrow does, reuses the predecessor's text above that
-digit and renders only the rest, so its text costs what the step changes.
+A step ``run`` takes with ``_SUCCESSORS`` renders its record whole; only
+the verifiers reuse a predecessor's text (``descent._successor_record``).
 ``weak_step`` and ``strong_step`` are ``to_digits`` followed by the run's
 own successor; the slow references the runs are checked against, read
 straight off their definitions, live in ``tests/definitions.py``.
@@ -36,7 +34,7 @@ from itertools import compress, count
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .errors import DomainError, InvalidBase, MagnitudeCapExceeded
-from .numerals import CUT, Digits, _borrow, _evaluate, render, to_digits
+from .numerals import Digits, _borrow, _evaluate, render, to_digits
 
 DEFAULT_MAX_STEPS = 10**6
 DEFAULT_MAX_BITS = 10**6
@@ -208,30 +206,6 @@ _SUCCESSORS: dict[RunKind, Callable[[Digits, int, int], tuple[int, Digits, int]]
 }
 
 
-def _record_after(prev: StepRecord, base: int, value: int, digits: Digits) -> StepRecord:
-    """The record after ``prev``, whose ``rendered`` must be ``render(prev.digits, prev.base)``.
-
-    A successor as long as ``prev``, past ``CUT`` digits, that keeps every
-    digit above ``prev``'s last nonzero digit ``p`` (every weak or
-    decreasing step that keeps the length) takes ``prev``'s text up to
-    digit ``p`` and renders only ``digits[p:]``. A digit's text does not
-    depend on the base, so ``p``'s text starts where the rendering of
-    ``prev.digits[p:]``, a digit and its zeros, starts at the end of
-    ``prev``'s. Any other successor is rendered whole.
-    """
-    n = len(digits)
-    if n > CUT and n == len(prev.digits):
-        p = n - 1
-        while not prev.digits[p]:
-            p -= 1
-        if digits[:p] == prev.digits[:p]:
-            # rendered first: past the int<->str limit it raises before prev's text is read
-            tail = render(digits[p:], base)
-            cut = len(prev.rendered) - len(render(prev.digits[p:], prev.base))
-            return StepRecord(prev.index + 1, base, value, digits, prev.rendered[:cut] + tail)
-    return StepRecord(prev.index + 1, base, value, digits, render(digits, base))
-
-
 def _units_block(prev: StepRecord, kind: RunKind, steps: int) -> Iterator[StepRecord]:
     """The next ``min(u, steps)`` records after ``prev``, each one lower in the units digit only.
 
@@ -242,9 +216,9 @@ def _units_block(prev: StepRecord, kind: RunKind, steps: int) -> Iterator[StepRe
     ``b = prev.base + s`` (weak) or ``prev.base`` (decreasing), value
     ``high`` evaluated in ``b`` times ``b`` plus ``u - s`` (weak) or
     ``prev.value - s`` (decreasing), and ``prev``'s text up to its units
-    digit followed by ``render`` of the new units digit. Neither
-    ``_SUCCESSORS`` nor ``_record_after`` runs, so the verifiers, which
-    do, derive these records another way.
+    digit followed by ``render`` of the new units digit. ``_SUCCESSORS``
+    does not run, so the verifiers, which step every record with it,
+    derive these records another way.
     """
     high, u = prev.digits[:-1], prev.digits[-1]
     head = prev.rendered[: len(prev.rendered) - len(render(prev.digits[-1:], prev.base))]
@@ -271,8 +245,8 @@ def run(kind: RunKind, cfg: RunConfig) -> Iterator[StepRecord]:
     runs keep ``start_base`` fixed. A weak or decreasing record of at
     least two digits whose units digit is nonzero is followed by a
     ``_units_block``, up to the step cap; every other record, a borrow,
-    a single digit or a strong one, by its ``_SUCCESSORS`` step through
-    ``_record_after``.
+    a single digit or a strong one, by its ``_SUCCESSORS`` step, rendered
+    whole.
     """
     successor = _SUCCESSORS[kind]
     blocks = kind is not RunKind.STRONG
@@ -288,7 +262,7 @@ def run(kind: RunKind, cfg: RunConfig) -> Iterator[StepRecord]:
                 base, digits, value = successor(record.digits, record.base, cfg.max_bits)
             except MagnitudeCapExceeded:
                 return
-            record = _record_after(record, base, value, digits)
+            record = StepRecord(record.index + 1, base, value, digits, render(digits, base))
             yield record
 
 

@@ -343,15 +343,6 @@ def test_decrement_of_zero_valued_sequence_underflows():
         decrement_in_base((0, 0), 2)
 
 
-def test_decrement_matches_value_oracle_exhaustive():
-    for base in range(2, 11):
-        for value in range(1, 10_000):
-            digits = to_digits(value, base)
-            decremented = decrement_in_base(digits, base)
-            assert decremented == to_digits(value - 1, base)
-            assert len(decremented) <= len(digits)
-
-
 @given(value=st.integers(1, 10**40), base=st.integers(2, 100))
 def test_decrement_matches_value_oracle_hypothesis(value, base):
     digits = to_digits(value, base)

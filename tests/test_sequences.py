@@ -10,9 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import definitions
-from goodstein.cli import _jsonl_lines
-from goodstein.descent import _successor_record
-from goodstein.errors import DomainError, InvalidBase, MagnitudeCapExceeded
+from goodstein.cli import _jsonl_lines, _record_json, main
+from goodstein.descent import _successor_record, check_step, verify_run
+from goodstein.errors import DomainError, InvalidBase, MagnitudeCapExceeded, StepMismatch
 from goodstein.numerals import CUT, from_digits, render
 from goodstein.sequences import (
     _SUCCESSORS,
@@ -33,7 +33,7 @@ def stepped_records(kind, cfg):
     """``run(kind, cfg)``'s records, each stepped from the one before by ``_successor_record``.
 
     This is ``run`` without units-digit blocks: every record after the seed
-    comes from ``_SUCCESSORS[kind]`` through ``_record_after``.
+    comes from ``_SUCCESSORS[kind]``, with its text as the verifiers make it.
     """
     records = [next(run(kind, cfg))]
     while records[-1].value and len(records) < cfg.max_steps:
@@ -240,16 +240,33 @@ def test_strong_run_from_16_hits_magnitude_cap():
     assert outcome.final.value.bit_length() <= 2000
 
 
-@given(
-    kind=st.sampled_from(list(RunKind)),
-    start=st.integers(0, 300),
-    base=st.integers(2, 20),
-    max_steps=st.integers(1, 60),
-    max_bits=st.integers(1, 4000),
+RUNS = st.one_of(
+    # any kind, from up to 300 in bases up to 20, under any cap
+    st.tuples(
+        st.sampled_from(list(RunKind)),
+        st.builds(RunConfig, st.integers(0, 300), st.integers(2, 20), st.integers(1, 60), st.integers(1, 4000)),
+    ),
+    # one strong step from up to 10**6: run moves the record's digits to their
+    # bumped positions, the definitions read the whole hereditary form
+    st.tuples(
+        st.just(RunKind.STRONG),
+        st.builds(RunConfig, st.integers(1, 10**6 - 1), st.integers(2, 20), st.just(2), st.just(10**4)),
+    ),
+    # strong runs over 60 steps at caps of 1-200 bits, which most of them reach
+    st.tuples(
+        st.just(RunKind.STRONG),
+        st.builds(RunConfig, st.integers(1, 300), st.integers(2, 8), st.just(60), st.integers(1, 200)),
+    ),
 )
-def test_record_consistency_along_runs(kind, start, base, max_steps, max_bits):
+
+
+@settings(deadline=None, max_examples=300)
+@given(kind_cfg=RUNS)
+@example(kind_cfg=(RunKind.STRONG, RunConfig(10**6 - 1, 10, 2, 10**4)))  # 999999_10 steps
+@example(kind_cfg=(RunKind.STRONG, RunConfig(255, 2, 60, 200)))  # 11111111_2 passes 200 bits
+def test_record_consistency_along_runs(kind_cfg):
     # the whole run, every field and the outcome, is what stepping the definitions finds
-    cfg = RunConfig(start, base, max_steps, max_bits)
+    kind, cfg = kind_cfg
     records, outcome = run_collected(kind, cfg)
     expected, status = reference_run(kind, cfg)
     assert records == expected
@@ -296,9 +313,12 @@ def test_every_record_of_a_wide_run_renders_its_digits(seed):
         assert record.rendered == render(record.digits, record.base)
 
 
-def test_a_successor_that_changes_a_digit_above_the_pivot_is_rendered_whole(monkeypatch):
-    # lowering the leading digit too keeps the length, so only the digits
-    # above the pivot show that the predecessor's text no longer applies
+def test_a_successor_that_changes_a_digit_above_the_pivot_is_refused_although_its_text_is_lent(
+    tmp_path, capsys, monkeypatch
+):
+    # lowering the leading digit too keeps the length, so the verifiers lend
+    # the predecessor's text above the pivot to a successor it does not spell;
+    # the shape check, which proves those digits kept, refuses the pair
     weak = _SUCCESSORS[RunKind.WEAK]
 
     def lowered_lead(digits, base, max_bits):
@@ -310,14 +330,23 @@ def test_a_successor_that_changes_a_digit_above_the_pivot_is_rendered_whole(monk
 
     monkeypatch.setitem(_SUCCESSORS, RunKind.WEAK, lowered_lead)
     records = stepped_records(RunKind.WEAK, RunConfig(3 ** (CUT + 2) * 2 + 5, 3, 20))
-    lowered = [
+    lowered = next(
         nxt.index
         for prev, nxt in zip(records, records[1:])
         if len(prev.digits) == len(nxt.digits) > CUT and prev.digits[0] != nxt.digits[0]
-    ]
-    assert len(lowered) >= 5
-    for record in records:
-        assert record.rendered == render(record.digits, record.base)
+    )
+    prev, nxt = records[lowered - 1 : lowered + 1]
+    assert nxt.rendered != render(nxt.digits, nxt.base)  # it still reads prev's leading digit
+    pivot = max(i for i, digit in enumerate(prev.digits) if digit)
+    message = f"step {lowered}: the step changes digit 0, above the last nonzero digit {pivot} it lowers"
+    with pytest.raises(StepMismatch, match=f"^{message}$"):
+        verify_run(records, RunKind.WEAK)
+    with pytest.raises(StepMismatch, match=f"^{message}$"):
+        check_step(prev, nxt, RunKind.WEAK)
+    path = tmp_path / "lent.jsonl"
+    path.write_text("".join(_record_json(record) + "\n" for record in records))
+    code = main(["verify", str(path)])
+    assert (code, *capsys.readouterr()) == (4, "", f"error: {message}\n")
 
 
 @st.composite
@@ -360,16 +389,6 @@ def test_a_units_block_is_what_stepping_every_record_finds(seed):
         assert line(record) == json.dumps(expected)
 
 
-@settings(deadline=None)
-@given(value=st.integers(1, 10**6 - 1), base=st.integers(2, 20))
-def test_tree_domain_strong_step_matches_strong_step(value, base):
-    # run moves the record's digits to their bumped positions; the definitions
-    # read the value's whole hereditary form in the next base
-    cfg = RunConfig(value, base, 2, 10**4)
-    records, outcome = run_collected(RunKind.STRONG, cfg)
-    assert (records, outcome.status) == reference_run(RunKind.STRONG, cfg)
-
-
 def test_wide_strong_run_matches_the_slow_reference():
     # from 16 to 52,000 bits positions pass base**2 and whole 64-digit
     # blocks are zero, which the narrow hypothesis draws never reach
@@ -381,13 +400,6 @@ def test_wide_strong_run_matches_the_slow_reference():
     widest = max(records, key=lambda r: len(r.digits)).digits
     stops = range(len(widest), CUT, -CUT)  # _evaluate's blocks, least significant first
     assert any(not any(widest[stop - CUT : stop]) for stop in stops)
-
-
-@given(start=st.integers(1, 300), base=st.integers(2, 8), max_bits=st.integers(1, 200))
-def test_magnitude_cap_fires_where_strong_step_refuses(start, base, max_bits):
-    cfg = RunConfig(start, base, 60, max_bits)
-    records, outcome = run_collected(RunKind.STRONG, cfg)
-    assert (records, outcome.status) == reference_run(RunKind.STRONG, cfg)
 
 
 def test_run_streams_lazily():
