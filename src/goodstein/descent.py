@@ -13,11 +13,7 @@ The verifier never assumes the property it checks. The seed is checked on
 its own: canonical digits that spell ``value`` in ``base`` and match
 ``rendered``. Every later record must equal the kind's successor of its
 predecessor, made by ``_SUCCESSORS``, and then have the shape of a
-borrow. A wide weak or decreasing successor that keeps the length takes
-the predecessor's text, checked by then, above its last nonzero digit:
-the shape check proves those digits kept before the pair is certified,
-so the lent text is certified only where it is the rendering.
-``sequences.run`` takes the same successor, except on a weak or
+borrow. ``sequences.run`` takes the same successor, except on a weak or
 decreasing step that lowers only the units digit, which it builds from
 that step's closed form, so such a record is derived two ways. The
 shape of a borrow: the step lowers the predecessor's last nonzero digit
@@ -25,9 +21,13 @@ shape of a borrow: the step lowers the predecessor's last nonzero digit
 entry above it; a weak or decreasing step lowers it by one and leaves
 ``base - 1`` below it. That closed form implies descent in the kind's
 order; for weak and decreasing runs it bounds every record's length by
-the seed's. A certificate keeps the seed, its digit count and one pivot
-per step. One loop, ``_certify``, checks the records that both
-``verify_run`` and ``goodstein verify`` read, and one function,
+the seed's. A wide weak or decreasing successor that keeps the length
+takes the predecessor's text, checked by then, above the predecessor's
+last nonzero digit, with no check of the digits there: the shape proves
+them kept before the pair is certified, so lent text is certified only
+where it is the rendering. A certificate keeps the seed, its digit count
+and one pivot per step. One loop, ``_certify``, checks the records that
+both ``verify_run`` and ``goodstein verify`` read, and one function,
 ``_step``, checks each pair of them: ``check_step`` is that function on
 one pair.
 """

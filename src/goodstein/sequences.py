@@ -19,8 +19,9 @@ without building a tree, then the same borrow applies. Each record's
 digits come out of that borrow (or, for the seed, out of ``to_digits``)
 canonical and in range, so the successors call the unchecked kernels
 behind ``decrement_in_base`` and ``from_digits`` and check no digit twice.
-A step ``run`` takes with ``_SUCCESSORS`` renders its record whole; only
-the verifiers reuse a predecessor's text (``descent._successor_record``).
+A record ``run`` takes with ``_SUCCESSORS`` is rendered whole; outside
+the blocks only the verifiers lend a predecessor's text to its successor,
+in ``descent._successor_record``.
 ``weak_step`` and ``strong_step`` are ``to_digits`` followed by the run's
 own successor; the slow references the runs are checked against, read
 straight off their definitions, live in ``tests/definitions.py``.

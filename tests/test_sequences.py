@@ -262,8 +262,8 @@ RUNS = st.one_of(
 
 @settings(deadline=None, max_examples=300)
 @given(kind_cfg=RUNS)
-@example(kind_cfg=(RunKind.STRONG, RunConfig(10**6 - 1, 10, 2, 10**4)))  # 999999_10 steps
-@example(kind_cfg=(RunKind.STRONG, RunConfig(255, 2, 60, 200)))  # 11111111_2 passes 200 bits
+@example(kind_cfg=(RunKind.STRONG, RunConfig(10**6 - 1, 10, 2, 10**4)))  # the widest start steps once
+@example(kind_cfg=(RunKind.STRONG, RunConfig(255, 2, 60, 200)))  # the 200-bit cap fires at step 1
 def test_record_consistency_along_runs(kind_cfg):
     # the whole run, every field and the outcome, is what stepping the definitions finds
     kind, cfg = kind_cfg
