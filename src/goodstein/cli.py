@@ -28,6 +28,13 @@ by one formatter per trace, ``_jsonl_lines``. It keeps the JSON of the
 last record's high digits, all but the units digit, so a record that
 keeps them, as a units-only weak or decreasing step does, costs one
 f-string. ``_record_json`` is the line of one record on its own.
+
+``run`` gathers its lines and hands them to ``sys.stdout.write`` joined,
+``_CHUNK`` characters or more at a time, so a write-through or
+line-buffered stdout costs one write(2) per chunk, not one per record. It
+writes the lines gathered so far before a summary or certificate line and
+before it stops on an error, so the output is what one write per line
+gives, in order.
 """
 
 from __future__ import annotations
@@ -169,6 +176,9 @@ def _print_trailer(obj: dict, fmt: str, text: str = "") -> None:
     print(json.dumps(obj) if fmt == "jsonl" else f"# {text}")
 
 
+_CHUNK = 1 << 16  # 64 KiB
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     if args.start < 1:
         raise GoodsteinError(f"--start must be >= 1, got {args.start}")
@@ -182,18 +192,32 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.format == "csv":
         print("index,base,value,rendered")
 
-    final = None
+    final, chunk, size = None, [], 0
+
+    def flush() -> None:
+        nonlocal size
+        text, size = "".join(chunk), 0
+        chunk.clear()  # before the write, so a failed write is not retried
+        if text:
+            sys.stdout.write(text)
 
     def emitting() -> Iterator[StepRecord]:
-        nonlocal final
+        nonlocal final, size
         for final in run(kind, cfg):
-            sys.stdout.write(line(final) + "\n")
+            text = line(final) + "\n"
+            chunk.append(text)
+            size += len(text)
+            if size >= _CHUNK:
+                flush()
             yield final
 
     records = emitting()
-    cert = verify_run(records, kind) if args.verify else None
-    for _ in records:  # drains an unverified run; verify_run has drained a verified one
-        pass
+    try:
+        cert = verify_run(records, kind) if args.verify else None
+        for _ in records:  # drains an unverified run; verify_run has drained a verified one
+            pass
+    finally:  # every line before a refusal, a cap or an error is written
+        flush()
     outcome = RunOutcome.of(final, cfg)
     status, steps = outcome.status, outcome.steps_emitted
     _print_trailer(_summary(status, steps), args.format, f"status={status.value} steps={steps}")

@@ -117,12 +117,15 @@ def _successor_record(prev: StepRecord, kind: RunKind, cap: int) -> Optional[Ste
     ``prev``'s digits must be in range and its text their rendering. None
     when ``prev`` is zero or the successor is wider than ``cap`` bits. A
     weak or decreasing successor as long as ``prev``, past ``CUT`` digits,
-    takes ``prev``'s text up to ``prev``'s last nonzero digit ``p`` and
-    renders only ``digits[p:]``, unchecked: ``_step`` proves
+    whose ``n`` digits put ``prev``'s last nonzero digit ``p`` at
+    ``2 * p >= n``, takes ``prev``'s text up to ``p`` and renders only
+    ``digits[p:]``, unchecked: ``_step`` proves
     ``digits[:p] == prev.digits[:p]`` before it certifies the pair. A
     digit's text does not depend on the base, so ``p``'s text starts where
     the rendering of ``prev.digits[p:]`` starts at the end of ``prev``'s.
-    Any other successor, strong ones included, is rendered whole. Its
+    Below ``n / 2``, rendering ``prev.digits[p:]`` to find the cut would
+    cost more than rendering the successor whole. Any other successor,
+    strong ones included, is rendered whole. Its
     ``rendered`` is None when its base has no decimal text under CPython's
     int<->str limit.
     """
@@ -133,15 +136,16 @@ def _successor_record(prev: StepRecord, kind: RunKind, cap: int) -> Optional[Ste
     except MagnitudeCapExceeded:
         return None
     n, rendered = len(digits), None
+    same = kind is not RunKind.STRONG and n == len(prev.digits) > CUT
     try:
-        if kind is RunKind.STRONG or n <= CUT or n != len(prev.digits):
-            rendered = render(digits, base)
-        else:
+        if same and any(prev.digits[(n + 1) // 2 :]):  # 2 * p >= n
             p = n - 1
             while not prev.digits[p]:
                 p -= 1
             cut = len(prev.rendered) - len(render(prev.digits[p:], prev.base))
             rendered = prev.rendered[:cut] + render(digits[p:], base)
+        else:
+            rendered = render(digits, base)
     except ValueError:  # past the int<->str limit: _step renders it if it must
         pass
     return StepRecord(prev.index + 1, base, value, digits, rendered)
@@ -161,7 +165,9 @@ def _step(
     for weak and decreasing runs, whose successors take none). Only a
     ``nxt`` that differs from ``expected`` has its index, predecessor and
     fields checked one by one, to name the first that fails; ``expected``'s
-    rendering is None past the int<->str limit and is then made here. A
+    rendering is made here when it is None, past the int<->str limit, or
+    differs from ``nxt``'s: lent text is the rendering only where the
+    shape holds, so a ``nxt`` that spells its digits goes on to the shape. A
     strong pair may take ``prev``'s hereditary tree as ``prev_tree``, as the
     pair before it returned it.
 
@@ -190,7 +196,7 @@ def _step(
             raise StepMismatch(nxt.index, f"{spelled} in base {base}")
         if nxt.base != base:
             raise StepMismatch(nxt.index, f"base {nxt.base} does not follow base {prev.base}")
-        if rendered is None:  # the base is past the int<->str limit
+        if rendered is None or nxt.rendered != rendered:  # past the int<->str limit, or lent
             rendered = render(digits, base)
         if nxt.rendered != rendered:
             unrendered = f"rendered {nxt.rendered!r} does not match the digits"
