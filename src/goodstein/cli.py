@@ -29,12 +29,12 @@ last record's high digits, all but the units digit, so a record that
 keeps them, as a units-only weak or decreasing step does, costs one
 f-string. ``_record_json`` is the line of one record on its own.
 
-``run`` gathers its lines and hands them to ``sys.stdout.write`` joined,
-``_CHUNK`` characters or more at a time, so a write-through or
-line-buffered stdout costs one write(2) per chunk, not one per record. It
-writes the lines gathered so far before a summary or certificate line and
-before it stops on an error, so the output is what one write per line
-gives, in order.
+``run`` gathers its lines and hands them to ``sys.stdout.write`` joined
+once they reach ``_CHUNK`` characters, so a write-through or line-buffered
+stdout costs one write(2) per chunk, not one per record. It writes what it
+has gathered before a summary or certificate line and before it stops on
+an error, so its output is the text, in order, that one write per line
+gives.
 """
 
 from __future__ import annotations

@@ -116,15 +116,14 @@ def _successor_record(prev: StepRecord, kind: RunKind, cap: int) -> Optional[Ste
 
     ``prev``'s digits must be in range and its text their rendering. None
     when ``prev`` is zero or the successor is wider than ``cap`` bits. A
-    weak or decreasing successor as long as ``prev``, past ``CUT`` digits,
-    whose ``n`` digits put ``prev``'s last nonzero digit ``p`` at
-    ``2 * p >= n``, takes ``prev``'s text up to ``p`` and renders only
-    ``digits[p:]``, unchecked: ``_step`` proves
-    ``digits[:p] == prev.digits[:p]`` before it certifies the pair. A
-    digit's text does not depend on the base, so ``p``'s text starts where
-    the rendering of ``prev.digits[p:]`` starts at the end of ``prev``'s.
-    Below ``n / 2``, rendering ``prev.digits[p:]`` to find the cut would
-    cost more than rendering the successor whole. Any other successor,
+    weak or decreasing successor as long as ``prev``, of ``n > CUT``
+    digits, takes ``prev``'s text up to ``prev``'s last nonzero digit ``p``
+    and renders only ``digits[p:]``, unchecked, where ``2 * p >= n``:
+    ``_step`` proves ``digits[:p] == prev.digits[:p]`` before it certifies
+    the pair. A digit's text does not depend on the base, so ``p``'s text
+    starts where the rendering of ``prev.digits[p:]`` starts at the end of
+    ``prev``'s. Below ``n / 2``, rendering ``prev.digits[p:]`` to find the
+    cut costs more than rendering the successor whole. Any other successor,
     strong ones included, is rendered whole. Its
     ``rendered`` is None when its base has no decimal text under CPython's
     int<->str limit.

@@ -1342,3 +1342,79 @@ def test_run_ends_cleanly_when_the_reader_closes_the_pipe():
     stderr = proc.stderr.read()
     assert proc.wait(timeout=60) == 0
     assert stderr == b""
+
+
+# --- run's chunked output ------------------------------------------------------------
+
+class CountingStdout(io.StringIO):
+    """A stdout that keeps every non-empty write, and raises ``error`` on write ``fail_at``."""
+
+    def __init__(self, fail_at=None, error=None):
+        super().__init__()
+        self.writes, self.fail_at, self.error = [], fail_at, error
+
+    def write(self, text):
+        if not text:
+            return 0
+        self.writes.append(text)
+        if len(self.writes) - 1 == self.fail_at:
+            raise self.error
+        return super().write(text)
+
+
+def test_run_writes_its_lines_in_chunks(monkeypatch):
+    stdout = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(["run", "weak", "--start", "12", "--max-steps", "25000", "--format", "jsonl"])
+    records, outcome = run_collected(RunKind.WEAK, RunConfig(12, max_steps=25000))
+    summary = json.dumps(cli._summary(outcome.status, outcome.steps_emitted))
+    assert code == 3
+    assert stdout.getvalue() == "".join(_record_json(r) + "\n" for r in records) + summary + "\n"
+    assert len(stdout.writes) <= -(-len(stdout.getvalue()) // 65536) + 2
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv", "human"])
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+def test_run_writes_the_text_of_one_write_per_line(monkeypatch, fmt, verify):
+    argv = ["run", "weak", "--start", "10", "--max-steps", "40", "--format", fmt, *verify]
+    outputs = []
+    for chunk in [1, cli._CHUNK]:  # a chunk of one character writes each line on its own
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        monkeypatch.setattr(sys, "stdout", CountingStdout())
+        outputs.append((main(argv), sys.stdout.getvalue(), sys.stdout.writes))
+    (code, text, lines), (chunked_code, chunked_text, chunks) = outputs
+    assert (chunked_code, chunked_text) == (code, text)
+    assert all(line.count("\n") <= 1 for line in lines)
+    assert len([c for c in chunks if c.count("\n") > 1]) == 1  # every record line at once
+
+
+@pytest.mark.parametrize("forgery", list(BLOCK_FORGERIES))
+def test_run_writes_every_line_up_to_a_refused_record(capsys, monkeypatch, forgery):
+    forge, message = BLOCK_FORGERIES[forgery]
+    block = sequences._units_block
+    monkeypatch.setattr(sequences, "_units_block", lambda *a: map(forge, block(*a)))
+    records, _ = run_collected(RunKind.WEAK, RunConfig(10, max_steps=300))
+    code, out, err = run_cli(capsys, "run", "weak", "--start", "10", "--max-steps", "300",
+                             "--format", "jsonl", "--verify")
+    assert (code, err) == (4, f"error: {message}\n")
+    assert out == "".join(_record_json(record) + "\n" for record in records[:3])
+
+
+@pytest.mark.parametrize("fail_at", [0, 1])
+@pytest.mark.parametrize(
+    "error, expected_code, stderr_lines",
+    [
+        pytest.param(BrokenPipeError(), 0, 0, id="reader-gone"),
+        pytest.param(OSError(28, "No space left on device"), 2, 1, id="disk-full"),
+    ],
+)
+def test_run_writes_no_chunk_twice_when_a_write_fails(
+    capsys, monkeypatch, fail_at, error, expected_code, stderr_lines
+):
+    stdout = CountingStdout(fail_at, error)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(["run", "weak", "--start", "12", "--max-steps", "2000", "--format", "jsonl"])
+    err = capsys.readouterr().err
+    assert (code, len(err.splitlines())) == (expected_code, stderr_lines)
+    assert err == "" or err == "error: [Errno 28] No space left on device\n"
+    assert len(stdout.writes) == fail_at + 1  # nothing after the failed chunk, itself included

@@ -349,6 +349,67 @@ def test_a_successor_that_changes_a_digit_above_the_pivot_is_refused_although_it
     assert (code, *capsys.readouterr()) == (4, "", f"error: {message}\n")
 
 
+def test_a_successor_that_changes_a_digit_above_the_pivot_is_refused_by_its_shape_where_it_spells_its_digits(
+    tmp_path, capsys, monkeypatch
+):
+    # run renders the lowered successor whole, so its text is its digits' and
+    # differs from the text the verifiers lend it: the shape refuses it, not the text
+    weak = _SUCCESSORS[RunKind.WEAK]
+
+    def lowered_lead(digits, base, max_bits):
+        new_base, successor, value = weak(digits, base, max_bits)
+        if successor[0] > 1:
+            successor = (successor[0] - 1,) + successor[1:]
+            value -= new_base ** (len(successor) - 1)
+        return new_base, successor, value
+
+    monkeypatch.setitem(_SUCCESSORS, RunKind.WEAK, lowered_lead)
+    records, _ = run_collected(RunKind.WEAK, RunConfig(3 ** (CUT + 2) * 2 + 3**5, 3, 20))
+    assert all(record.rendered == render(record.digits, record.base) for record in records)
+    message = "step 1: the step changes digit 0, above the last nonzero digit 61 it lowers"
+    with pytest.raises(StepMismatch, match=f"^{message}$"):
+        verify_run(records, RunKind.WEAK)
+    with pytest.raises(StepMismatch, match=f"^{message}$"):
+        check_step(records[0], records[1], RunKind.WEAK)
+    path = tmp_path / "spelled.jsonl"
+    path.write_text("".join(_record_json(record) + "\n" for record in records))
+    code = main(["verify", str(path)])
+    assert (code, *capsys.readouterr()) == (4, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "start, base",
+    [
+        # the first step shortens the digits to 1,000
+        pytest.param(2**1000, 2, id="2**1000"),
+        # the first step keeps 1,001 digits but lowers the leading one
+        pytest.param(2 * 3**1000, 3, id="2*3**1000-base-3"),
+    ],
+)
+def test_a_wide_step_from_a_high_pivot_renders_its_successor_whole(tmp_path, capsys, start, base):
+    records, _ = run_collected(RunKind.WEAK, RunConfig(start, base, 50))
+    prev, nxt = records[:2]
+    assert _successor_record(prev, RunKind.WEAK, 1).rendered == render(nxt.digits, nxt.base)
+    assert len(verify_run(records, RunKind.WEAK).evidence) == 49
+    path = tmp_path / "high.jsonl"
+    path.write_text("".join(_record_json(record) + "\n" for record in records))
+    assert (main(["verify", str(path)]), *capsys.readouterr()) == (
+        0, '{"k": %d, "verdict": "AllStepsDescend", "steps_checked": 49}\n' % len(prev.digits), ""
+    )
+    forged = nxt._replace(rendered=("1" if nxt.rendered[0] != "1" else "2") + nxt.rendered[1:])
+    message = f"step 1: rendered {forged.rendered!r} does not match the digits"
+    with pytest.raises(StepMismatch, match=f"^{message}$"):
+        verify_run([prev, forged, *records[2:]], RunKind.WEAK)
+    path.write_text("".join(_record_json(r) + "\n" for r in [prev, forged, *records[2:]]))
+    assert (main(["verify", str(path)]), *capsys.readouterr()) == (4, "", f"error: {message}\n")
+    # check_step takes a predecessor zero-padded to any width, whose last nonzero
+    # digit can then sit past half the width of its shorter successor
+    padded = prev._replace(digits=(0,) * len(prev.digits) + prev.digits)
+    padded = padded._replace(rendered=render(padded.digits, base))
+    assert _successor_record(padded, RunKind.WEAK, 1) == nxt
+    assert check_step(padded, nxt, RunKind.WEAK) == len(prev.digits)
+
+
 @st.composite
 def block_seeds(draw):
     """A weak or decreasing config whose seed's units digit starts a block.
