@@ -135,9 +135,10 @@ def _successor_record(prev: StepRecord, kind: RunKind, cap: int) -> Optional[Ste
     except MagnitudeCapExceeded:
         return None
     n, rendered = len(digits), None
-    same = kind is not RunKind.STRONG and n == len(prev.digits) > CUT
+    same = n > CUT and n == len(prev.digits) and kind is not RunKind.STRONG
     try:
-        if same and any(prev.digits[(n + 1) // 2 :]):  # 2 * p >= n
+        # 2 * p >= n; a nonzero units digit, as on most steps, is p = n - 1
+        if same and (prev.digits[-1] or any(prev.digits[(n + 1) // 2 :])):
             p = n - 1
             while not prev.digits[p]:
                 p -= 1
