@@ -313,21 +313,21 @@ def test_every_record_of_a_wide_run_renders_its_digits(seed):
         assert record.rendered == render(record.digits, record.base)
 
 
+def lowered_lead(digits, base, max_bits, weak=_SUCCESSORS[RunKind.WEAK]):
+    """The weak successor, with its leading digit lowered too where that keeps it."""
+    new_base, successor, value = weak(digits, base, max_bits)
+    if successor[0] > 1:
+        successor = (successor[0] - 1,) + successor[1:]
+        value -= new_base ** (len(successor) - 1)
+    return new_base, successor, value
+
+
 def test_a_successor_that_changes_a_digit_above_the_pivot_is_refused_although_its_text_is_lent(
     tmp_path, capsys, monkeypatch
 ):
     # lowering the leading digit too keeps the length, so the verifiers lend
     # the predecessor's text above the pivot to a successor it does not spell;
     # the shape check, which proves those digits kept, refuses the pair
-    weak = _SUCCESSORS[RunKind.WEAK]
-
-    def lowered_lead(digits, base, max_bits):
-        new_base, successor, value = weak(digits, base, max_bits)
-        if successor[0] > 1:
-            successor = (successor[0] - 1,) + successor[1:]
-            value -= new_base ** (len(successor) - 1)
-        return new_base, successor, value
-
     monkeypatch.setitem(_SUCCESSORS, RunKind.WEAK, lowered_lead)
     records = stepped_records(RunKind.WEAK, RunConfig(3 ** (CUT + 2) * 2 + 5, 3, 20))
     lowered = next(
@@ -354,15 +354,6 @@ def test_a_successor_that_changes_a_digit_above_the_pivot_is_refused_by_its_shap
 ):
     # run renders the lowered successor whole, so its text is its digits' and
     # differs from the text the verifiers lend it: the shape refuses it, not the text
-    weak = _SUCCESSORS[RunKind.WEAK]
-
-    def lowered_lead(digits, base, max_bits):
-        new_base, successor, value = weak(digits, base, max_bits)
-        if successor[0] > 1:
-            successor = (successor[0] - 1,) + successor[1:]
-            value -= new_base ** (len(successor) - 1)
-        return new_base, successor, value
-
     monkeypatch.setitem(_SUCCESSORS, RunKind.WEAK, lowered_lead)
     records, _ = run_collected(RunKind.WEAK, RunConfig(3 ** (CUT + 2) * 2 + 3**5, 3, 20))
     assert all(record.rendered == render(record.digits, record.base) for record in records)
