@@ -116,15 +116,13 @@ def _successor_record(prev: StepRecord, kind: RunKind, cap: int) -> Optional[Ste
 
     ``prev``'s digits must be in range and its text their rendering. None
     when ``prev`` is zero or the successor is wider than ``cap`` bits. A
-    weak or decreasing successor as long as ``prev``, of ``n > CUT``
-    digits, takes ``prev``'s text up to ``prev``'s last nonzero digit ``p``
-    and renders only ``digits[p:]``, unchecked, where ``2 * p >= n``:
-    ``_step`` proves ``digits[:p] == prev.digits[:p]`` before it certifies
-    the pair. A digit's text does not depend on the base, so ``p``'s text
-    starts where the rendering of ``prev.digits[p:]`` starts at the end of
-    ``prev``'s. Below ``n / 2``, rendering ``prev.digits[p:]`` to find the
-    cut costs more than rendering the successor whole. Any other successor,
-    strong ones included, is rendered whole. Its
+    weak or decreasing successor as long as ``prev``, past ``CUT`` digits,
+    takes ``prev``'s text up to ``prev``'s last nonzero digit ``p`` and
+    renders only ``digits[p:]``, unchecked: ``_step`` proves
+    ``digits[:p] == prev.digits[:p]`` before it certifies the pair. A
+    digit's text does not depend on the base, so ``p``'s text starts where
+    the rendering of ``prev.digits[p:]`` starts at the end of ``prev``'s.
+    Any other successor, strong ones included, is rendered whole. Its
     ``rendered`` is None when its base has no decimal text under CPython's
     int<->str limit.
     """
@@ -135,17 +133,15 @@ def _successor_record(prev: StepRecord, kind: RunKind, cap: int) -> Optional[Ste
     except MagnitudeCapExceeded:
         return None
     n, rendered = len(digits), None
-    same = n > CUT and n == len(prev.digits) and kind is not RunKind.STRONG
     try:
-        # 2 * p >= n; a nonzero units digit, as on most steps, is p = n - 1
-        if same and (prev.digits[-1] or any(prev.digits[(n + 1) // 2 :])):
+        if kind is RunKind.STRONG or n <= CUT or n != len(prev.digits):
+            rendered = render(digits, base)
+        else:
             p = n - 1
             while not prev.digits[p]:
                 p -= 1
             cut = len(prev.rendered) - len(render(prev.digits[p:], prev.base))
             rendered = prev.rendered[:cut] + render(digits[p:], base)
-        else:
-            rendered = render(digits, base)
     except ValueError:  # past the int<->str limit: _step renders it if it must
         pass
     return StepRecord(prev.index + 1, base, value, digits, rendered)

@@ -377,7 +377,9 @@ def test_a_successor_that_changes_a_digit_above_the_pivot_is_refused_by_its_shap
         pytest.param(2 * 3**1000, 3, id="2*3**1000-base-3"),
     ],
 )
-def test_a_wide_step_from_a_high_pivot_renders_its_successor_whole(tmp_path, capsys, start, base):
+def test_a_wide_step_from_a_high_pivot_is_certified_and_a_text_forgery_refused(
+    tmp_path, capsys, start, base
+):
     records, _ = run_collected(RunKind.WEAK, RunConfig(start, base, 50))
     prev, nxt = records[:2]
     assert _successor_record(prev, RunKind.WEAK, 1).rendered == render(nxt.digits, nxt.base)
@@ -393,8 +395,8 @@ def test_a_wide_step_from_a_high_pivot_renders_its_successor_whole(tmp_path, cap
         verify_run([prev, forged, *records[2:]], RunKind.WEAK)
     path.write_text("".join(_record_json(r) + "\n" for r in [prev, forged, *records[2:]]))
     assert (main(["verify", str(path)]), *capsys.readouterr()) == (4, "", f"error: {message}\n")
-    # check_step takes a predecessor zero-padded to any width, whose last nonzero
-    # digit can then sit past half the width of its shorter successor
+    # check_step takes a predecessor zero-padded to any width; its successor is
+    # then shorter than it, so no text is lent past the successor's end
     padded = prev._replace(digits=(0,) * len(prev.digits) + prev.digits)
     padded = padded._replace(rendered=render(padded.digits, base))
     assert _successor_record(padded, RunKind.WEAK, 1) == nxt
