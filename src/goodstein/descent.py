@@ -12,21 +12,21 @@ certificate.
 The verifier never assumes the property it checks. The seed is checked on
 its own: canonical digits that spell ``value`` in ``base`` and match
 ``rendered``. Every later record must equal the kind's successor of its
-predecessor, made by ``_SUCCESSORS``, and then have the shape of a
-borrow. ``sequences.run`` takes the same successor, except on a weak or
-decreasing step that lowers only the units digit, which it builds from
-that step's closed form, so such a record is derived two ways. The
-shape of a borrow: the step lowers the predecessor's last nonzero digit
-(for a strong step, its tree's last top-level term) and keeps every
-entry above it; a weak or decreasing step lowers it by one and leaves
-``base - 1`` below it. That closed form implies descent in the kind's
-order; for weak and decreasing runs it bounds every record's length by
-the seed's. A wide weak or decreasing successor that keeps the length
-takes the predecessor's text, checked by then, above the predecessor's
-last nonzero digit, with no check of the digits there: the shape proves
-them kept before the pair is certified, so lent text is certified only
-where it is the rendering. A certificate keeps the seed, its digit count
-and one pivot per step. One loop, ``_certify``, checks the records that
+predecessor. A weak or decreasing successor is built here from the
+borrow's closed form: the predecessor's last nonzero digit drops by one
+and every digit below it becomes ``base - 1``. That form keeps every
+digit above the pivot, so it descends in length-first lexicographic
+order and bounds every record's length by the seed's, with nothing left
+to check once a record equals it. ``sequences.run`` derives the same
+records apart, by its own borrow or by a units-digit block. A strong
+successor comes from ``run``'s own, ``_SUCCESSORS``, and the pair must
+then have the shape of a borrow, which implies descent in tuple order:
+the step lowers the predecessor tree's last top-level term and keeps
+every term above it. A wide weak or decreasing successor that keeps the
+length takes the predecessor's text, checked by then, above the
+predecessor's last nonzero digit: the closed form keeps those digits, so
+lent text is the rendering by construction. A certificate keeps the
+seed, its digit count and one pivot per step. One loop, ``_certify``, checks the records that
 both ``verify_run`` and ``goodstein verify`` read, and one function,
 ``_step``, checks each pair of them: ``check_step`` is that function on
 one pair.
@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ArityExceeded, DomainError, EmptyRun, MagnitudeCapExceeded, StepMismatch
 from .hereditary import HereditaryTree, build_from_digits
-from .numerals import CUT, _check_digits, render, to_digits
+from .numerals import CUT, _check_digits, _evaluate, render, to_digits
 from .sequences import _SUCCESSORS, RunKind, StepRecord
 
 
@@ -93,12 +93,13 @@ def check_step(prev: StepRecord, nxt: StepRecord, kind: RunKind = RunKind.WEAK) 
     the index advances; ``prev``'s digits are in range (DigitOutOfRange) and
     nonzero; ``nxt``'s value and digits, then base, then rendering are the
     successor's, built under a cap of ``nxt.value + 1``'s bits, so never
-    wider than claimed; the step descends; it changes no entry above the
-    pivot, nor, for weak and decreasing runs, one at or below it unlike a
-    borrow. Returns the pivot: the index of ``prev``'s last nonzero digit
-    among the digits zero-padded to one width (weak and decreasing), or of
-    the last top-level term of its hereditary tree (strong), the first
-    position where the step's digits or terms differ. ``prev``'s text is
+    wider than claimed: for weak and decreasing runs the borrow's closed
+    form, which descends by construction. A strong step must then descend
+    and change no term above the pivot. Returns the pivot: the index of
+    ``prev``'s last nonzero digit (weak and decreasing), or of the last
+    top-level term of its hereditary tree (strong), the first position
+    where the step's digits, zero-padded to ``prev``'s width, or terms
+    differ. ``prev``'s text is
     not checked, so the text lent to a wide successor is ``prev``'s digits
     rendered again; past the int<->str limit its base raises ValueError.
     """
@@ -114,36 +115,48 @@ def check_step(prev: StepRecord, nxt: StepRecord, kind: RunKind = RunKind.WEAK) 
 def _successor_record(prev: StepRecord, kind: RunKind, cap: int) -> Optional[StepRecord]:
     """The ``kind`` successor record of a checked ``prev``, under ``cap`` bits.
 
-    ``prev``'s digits must be in range and its text their rendering. None
-    when ``prev`` is zero or the successor is wider than ``cap`` bits. A
-    weak or decreasing successor as long as ``prev``, past ``CUT`` digits,
-    takes ``prev``'s text up to ``prev``'s last nonzero digit ``p`` and
-    renders only ``digits[p:]``, unchecked: ``_step`` proves
-    ``digits[:p] == prev.digits[:p]`` before it certifies the pair. A
-    digit's text does not depend on the base, so ``p``'s text starts where
-    the rendering of ``prev.digits[p:]`` starts at the end of ``prev``'s.
-    Any other successor, strong ones included, is rendered whole. Its
-    ``rendered`` is None when its base has no decimal text under CPython's
-    int<->str limit.
+    ``prev``'s digits must be in range, zero-padded or not, and its text
+    their rendering. None when ``prev`` is zero or a strong successor is
+    wider than ``cap`` bits; weak and decreasing successors take no cap. A
+    weak or decreasing successor is the borrow's closed form, derived here
+    apart from ``run``'s: ``prev``'s last nonzero digit ``p`` drops by one,
+    every digit below it becomes ``base - 1`` and leading zeros go. One as
+    long as ``prev``, past ``CUT`` digits, keeps ``prev``'s digits above
+    ``p``, so it takes ``prev``'s text there and renders only
+    ``digits[p:]``: a digit's text does not depend on the base, so ``p``'s
+    text starts where the rendering of ``prev.digits[p:]`` starts at the end
+    of ``prev``'s. A strong successor comes from ``_SUCCESSORS`` and is
+    rendered whole, as is any other. Its ``rendered`` is None when its base
+    has no decimal text under CPython's int<->str limit.
     """
-    if not any(prev.digits):
+    old = prev.digits
+    if not any(old):
         return None
+    lent = False
+    if kind is RunKind.STRONG:
+        try:
+            base, digits, value = _SUCCESSORS[RunKind.STRONG](old, prev.base, cap)
+        except MagnitudeCapExceeded:
+            return None
+    else:
+        base, n = prev.base + (kind is RunKind.WEAK), len(old)
+        lead, p = 0, n - 1
+        while not old[lead]:
+            lead += 1
+        while not old[p]:
+            p -= 1
+        lowered = (old[p] - 1,) if lead < p or old[p] > 1 else ()
+        digits = tuple(old[lead:p]) + lowered + (base - 1,) * (n - 1 - p)
+        value = _evaluate(digits, base)
+        lent = len(digits) == n > CUT
     try:
-        base, digits, value = _SUCCESSORS[kind](prev.digits, prev.base, cap)
-    except MagnitudeCapExceeded:
-        return None
-    n, rendered = len(digits), None
-    try:
-        if kind is RunKind.STRONG or n <= CUT or n != len(prev.digits):
-            rendered = render(digits, base)
-        else:
-            p = n - 1
-            while not prev.digits[p]:
-                p -= 1
-            cut = len(prev.rendered) - len(render(prev.digits[p:], prev.base))
+        if lent:
+            cut = len(prev.rendered) - len(render(old[p:], prev.base))
             rendered = prev.rendered[:cut] + render(digits[p:], base)
+        else:
+            rendered = render(digits, base)
     except ValueError:  # past the int<->str limit: _step renders it if it must
-        pass
+        rendered = None
     return StepRecord(prev.index + 1, base, value, digits, rendered)
 
 
@@ -157,26 +170,22 @@ def _step(
     """``check_step`` for a ``prev`` whose digits are in range, given its expected successor.
 
     ``expected`` is ``_successor_record`` of ``prev`` under a cap of
-    ``nxt.value + 1``'s bits, so never wider than claimed (any cap will do
-    for weak and decreasing runs, whose successors take none). Only a
-    ``nxt`` that differs from ``expected`` has its index, predecessor and
-    fields checked one by one, to name the first that fails; ``expected``'s
-    rendering is made here when it is None, past the int<->str limit, or
-    differs from ``nxt``'s: lent text is the rendering only where the
-    shape holds, so a ``nxt`` that spells its digits goes on to the shape. A
+    ``nxt.value + 1``'s bits, so never wider than claimed. Only a ``nxt``
+    that differs from ``expected`` has its index, predecessor and fields
+    checked one by one, to name the first that fails; ``expected``'s
+    rendering is made here when it is None, past the int<->str limit. A
     strong pair may take ``prev``'s hereditary tree as ``prev_tree``, as the
     pair before it returned it.
 
-    The pivot is not searched for: it is the closed form of a borrow, proven
-    with one prefix comparison and one entry comparison. Entries above the
-    pivot are equal, and the pivot's entry drops, or, for a strong step
-    that drops its units term 1, ``nxt``'s tree ends there; a weak or
-    decreasing pivot drops by one and one more comparison finds ``base - 1``
-    in every digit below it. Zeros pad the digits only on a step that
-    changes their length. A failing pair is refused by its order if it does
-    not descend, else by the first entry it changes above the pivot, else
-    by the first digit the borrow would not leave. Returns the pivot and
-    ``nxt``'s tree (None for weak and decreasing pairs).
+    A weak or decreasing ``nxt`` that equals ``expected`` is the borrow, so
+    it descends by construction, and the pivot is ``prev``'s last nonzero
+    digit. A strong pivot is not searched for: it is the closed form of a
+    borrow, proven with one prefix comparison and one entry comparison.
+    Terms above the last one are equal, and the last drops, or, for a step
+    that drops its units term 1, ``nxt``'s tree ends there. A failing
+    strong pair is refused by its order if it does not descend, else by the
+    first term it changes above the pivot. Returns the pivot and ``nxt``'s
+    tree (None for weak and decreasing pairs).
     """
     if nxt != expected:  # equal records share the index and imply a nonzero predecessor
         if nxt.index != prev.index + 1:
@@ -192,43 +201,24 @@ def _step(
             raise StepMismatch(nxt.index, f"{spelled} in base {base}")
         if nxt.base != base:
             raise StepMismatch(nxt.index, f"base {nxt.base} does not follow base {prev.base}")
-        if rendered is None or nxt.rendered != rendered:  # past the int<->str limit, or lent
-            rendered = render(digits, base)
-        if nxt.rendered != rendered:
+        if nxt.rendered != (render(digits, base) if rendered is None else rendered):
             unrendered = f"rendered {nxt.rendered!r} does not match the digits"
             raise StepMismatch(nxt.index, unrendered)
     # nxt now matches expected, whose digits are the successor's own tuple
-    if kind is RunKind.STRONG:
-        before = build_from_digits(prev.digits, prev.base) if prev_tree is None else prev_tree
-        after = build_from_digits(expected.digits, expected.base)
-        pivot = len(before) - 1
-        if after[:pivot] == before[:pivot] and after[pivot:] < before[pivot:]:
-            return pivot, after
-        order = "hereditary trees do not descend in Cantor normal form order"
-        shape = "the step changes term {}, above the last term {} it lowers"
-    else:
-        before, after = tuple(prev.digits), expected.digits
-        shortfall = len(before) - len(after)
-        if shortfall:  # canonical digits compare length-first, so zero-pad them to one width
-            before, after = (0,) * -shortfall + before, (0,) * shortfall + after
-        last = pivot = len(before) - 1
-        while not before[pivot]:
+    if kind is not RunKind.STRONG:
+        pivot = len(prev.digits) - 1
+        while not prev.digits[pivot]:
             pivot -= 1
-        if after[pivot] + 1 == before[pivot] and after[:pivot] == before[:pivot] and (
-            pivot == last or after[pivot + 1 :] == (expected.base - 1,) * (last - pivot)
-        ):
-            return pivot, None
-        order = "digits do not descend in length-first lexicographic order"
-        shape = "the step changes digit {}, above the last nonzero digit {} it lowers"
+        return pivot, None
+    before = build_from_digits(prev.digits, prev.base) if prev_tree is None else prev_tree
+    after = build_from_digits(expected.digits, expected.base)
+    pivot = len(before) - 1
+    if after[:pivot] == before[:pivot] and after[pivot:] < before[pivot:]:
+        return pivot, after
     if after >= before:
-        raise StepMismatch(nxt.index, order)
+        raise StepMismatch(nxt.index, "hereditary trees do not descend in Cantor normal form order")
     changed = next(i for i, (a, b) in enumerate(zip(after, before)) if a != b)
-    if changed < pivot:  # always, for a strong pair that gets here
-        raise StepMismatch(nxt.index, shape.format(changed, pivot))
-    borrow = before[:pivot] + (before[pivot] - 1,) + (expected.base - 1,) * (last - pivot)
-    wrong = next(i for i, (a, b) in enumerate(zip(after, borrow)) if a != b)
-    left = "the step leaves {} in digit {}, where the borrow from digit {} leaves {}"
-    raise StepMismatch(nxt.index, left.format(after[wrong], wrong, pivot, borrow[wrong]))
+    raise StepMismatch(nxt.index, f"the step changes term {changed}, above the last term {pivot} it lowers")
 
 
 def _certify(

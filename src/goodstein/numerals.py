@@ -243,8 +243,10 @@ def _borrow(digits: Sequence[int], base: int) -> Digits:
         out[i] = base - 1
         i -= 1
     out[i] -= 1
-    while out and out[0] == 0:
-        del out[0]
+    lead = 0  # one slice: a deletion per leading zero is quadratic in their count
+    while lead < len(out) and not out[lead]:
+        lead += 1
+    del out[:lead]
     return tuple(out)
 
 

@@ -3,14 +3,16 @@
 All three families share one driver: emit the seed record, then step
 from each record's digits until the value hits zero or a cap fires; only
 the seed converts a value to digits. Each kind has one successor in
-``_SUCCESSORS``, which ``descent.check_step`` checks against. Decreasing
-and weak runs borrow one in the same or the next base. Most of their
-steps lower only the units digit ``u``, so the ``u`` steps after a record
-with a nonzero units digit and a digit above it form a block, which
-``run`` builds from its closed form in ``_units_block``, without
-``_SUCCESSORS``: the verifiers derive those records a second way. ``run``
-takes every other step, a borrow from a zero units digit, a single-digit
-record or a strong step, with ``_SUCCESSORS``.
+``_SUCCESSORS``; ``descent.check_step`` checks a strong record against
+it and derives a weak or decreasing one from the borrow's closed form
+itself. Decreasing and weak runs borrow one in the same or the next
+base. Most of their steps lower only the units digit ``u``, so the
+``u`` steps after a record with a nonzero units digit and a digit above
+it form a block, which ``run`` builds from its closed form in
+``_units_block``, without ``_SUCCESSORS``: the verifiers derive those
+records as borrows, a second way. ``run`` takes every other step, a
+borrow from a zero units digit, a single-digit record or a strong step,
+with ``_SUCCESSORS``.
 The strong step rewrites the digit positions in hereditary notation first,
 which is why it explodes and needs a magnitude cap on top of the step cap:
 each nonzero coefficient moves to its position's hereditary form evaluated
@@ -217,9 +219,9 @@ def _units_block(prev: StepRecord, kind: RunKind, steps: int) -> Iterator[StepRe
     ``b = prev.base + s`` (weak) or ``prev.base`` (decreasing), value
     ``high`` evaluated in ``b`` times ``b`` plus ``u - s`` (weak) or
     ``prev.value - s`` (decreasing), and ``prev``'s text up to its units
-    digit followed by ``render`` of the new units digit. ``_SUCCESSORS``
-    does not run, so the verifiers, which step every record with it,
-    derive these records another way.
+    digit followed by ``render`` of the new units digit. The verifiers
+    derive every weak and decreasing record as a borrow, so they derive
+    these records another way.
     """
     high, u = prev.digits[:-1], prev.digits[-1]
     head = prev.rendered[: len(prev.rendered) - len(render(prev.digits[-1:], prev.base))]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import definitions
 from goodstein import cli, sequences
 from goodstein.cli import _no_int_str_limit, _read_trace, _record_from_json, _record_json, main
-from goodstein.descent import verify_run
+from goodstein.descent import check_step, verify_run
 from goodstein.errors import StepMismatch
 from goodstein.numerals import CUT, from_digits, render
 from goodstein.sequences import _SUCCESSORS, RunConfig, RunKind, StepRecord, run_collected
@@ -373,7 +373,8 @@ def test_verify_flags_tampered_record(tmp_path, capsys, index, field, forged):
 
 
 def test_verify_rejects_a_step_that_does_not_descend(tmp_path, capsys, monkeypatch):
-    # with the borrow patched out, 1000_2 -> 1000_3 = 27 passes the transition check
+    # with the borrow patched out of run's successor, 1000_2 -> 1000_3 = 27 is still
+    # refused: the verifier derives the borrow itself, 222_3 = 26
     monkeypatch.setitem(
         _SUCCESSORS, RunKind.WEAK, lambda digits, base, max_bits: (base + 1, tuple(digits), 27)
     )
@@ -386,14 +387,14 @@ def test_verify_rejects_a_step_that_does_not_descend(tmp_path, capsys, monkeypat
     code, out, err = run_cli(capsys, "verify", str(path))
     assert code == 4
     assert out == ""
-    assert err == "error: step 1: digits do not descend in length-first lexicographic order\n"
+    assert err == "error: step 1: value 27 is not a weak successor of 8\n"
 
 
 def test_a_wrong_successor_that_still_descends_is_refused(tmp_path, capsys, monkeypatch):
     # a weak successor that also lowers the leading digit keeps digits, value and
-    # rendering consistent and still descends, so only the step's shape shows it:
-    # from 10 it takes 1000_5 -> 455_6, whose tail the borrow leaves 5,5,5, then
-    # 455_6 -> 354_7, which changes digit 0 above the pivot 2
+    # rendering consistent and still descends, but the verifier derives the borrow
+    # itself: from 10 it takes 1000_5 -> 455_6, where the borrow leaves 555_6, then
+    # 455_6 -> 354_7, where it leaves 454_7
     weak = _SUCCESSORS[RunKind.WEAK]
 
     def lowered_lead(digits, base, max_bits):
@@ -404,12 +405,12 @@ def test_a_wrong_successor_that_still_descends_is_refused(tmp_path, capsys, monk
         return new_base, successor, value
 
     monkeypatch.setitem(_SUCCESSORS, RunKind.WEAK, lowered_lead)
-    message = "step 4: the step leaves 4 in digit 1, where the borrow from digit 0 leaves 5"
+    message = "step 4: value 179 is not a weak successor of 125"
     records = stepped_records(RunKind.WEAK, RunConfig(10, max_steps=8))
     assert [r.rendered for r in records[3:6]] == ["1000_5", "455_6", "354_7"]
     with pytest.raises(StepMismatch, match=f"^{message}$"):
         verify_run(records)
-    above = "step 5: the step changes digit 0, above the last nonzero digit 2 it lowers"
+    above = "step 5: value 186 is not a weak successor of 179"
     with pytest.raises(StepMismatch, match=f"^{above}$"):
         verify_run(records[4:])
     path = tmp_path / "wrong.jsonl"
@@ -421,7 +422,8 @@ def test_a_wrong_successor_that_still_descends_is_refused(tmp_path, capsys, monk
 def test_a_borrow_that_leaves_the_wrong_tail_is_refused(tmp_path, capsys, monkeypatch):
     # a weak successor that writes base - 2 below the lowered digit keeps digits, value,
     # rendering and every digit above the pivot consistent, and still descends: from
-    # 25 it takes 11001_2 -> 11000_3 (no digit below the pivot 4), then 11000_3 -> 10222_4
+    # 25 it takes 11001_2 -> 11000_3 (no digit below the pivot 4), then 11000_3 -> 10222_4,
+    # where the verifier's borrow leaves 10333_4
     weak = _SUCCESSORS[RunKind.WEAK]
 
     def short_tail(digits, base, max_bits):
@@ -431,7 +433,7 @@ def test_a_borrow_that_leaves_the_wrong_tail_is_refused(tmp_path, capsys, monkey
         return new_base, successor, from_digits(successor, new_base)
 
     monkeypatch.setitem(_SUCCESSORS, RunKind.WEAK, short_tail)
-    message = "step 2: the step leaves 2 in digit 2, where the borrow from digit 1 leaves 3"
+    message = "step 2: value 298 is not a weak successor of 108"
     records, _ = run_collected(RunKind.WEAK, RunConfig(25, max_steps=8))
     assert [r.rendered for r in records[:3]] == ["11001_2", "11000_3", "10222_4"]
     with pytest.raises(StepMismatch, match=f"^{message}$"):
@@ -462,7 +464,7 @@ BLOCK_FORGERIES = {
 @pytest.mark.parametrize("forgery", list(BLOCK_FORGERIES))
 def test_a_wrong_units_block_is_refused(tmp_path, capsys, monkeypatch, forgery):
     # from 10 the run takes 1010_2 -> 1002_3 by a borrow, then 1001_4 -> ... in
-    # a units-digit block, which the verifiers derive through _SUCCESSORS instead
+    # a units-digit block, which the verifiers derive as borrows instead
     forge, message = BLOCK_FORGERIES[forgery]
     block = sequences._units_block
 
@@ -478,6 +480,46 @@ def test_a_wrong_units_block_is_refused(tmp_path, capsys, monkeypatch, forgery):
     path.write_text(jsonl_trace(capsys, 10, 8))
     code, out, err = run_cli(capsys, "verify", str(path))
     assert (code, out, err) == (4, "", f"error: {message}\n")
+
+
+def test_the_verifiers_take_no_weak_or_decreasing_successor_from_run(tmp_path, capsys, monkeypatch):
+    # the verifiers derive each weak and decreasing successor from the borrow's
+    # closed form, so with run's successors gone they certify and refuse as before;
+    # goodstein verify reads weak traces only
+    configs = [
+        (RunKind.WEAK, RunConfig(10, max_steps=300)),
+        (RunKind.WEAK, RunConfig(2**999 + 12345, max_steps=300)),  # past CUT digits and base 256
+        (RunKind.DECREASING, RunConfig(100, 3, 300)),  # reaches zero
+        (RunKind.DECREASING, RunConfig(3**628 + 12345, 300, 300)),
+    ]
+    genuine = [(kind, run_collected(kind, cfg)[0]) for kind, cfg in configs]
+    block, forged = sequences._units_block, []
+    for forge, message in BLOCK_FORGERIES.values():
+        with monkeypatch.context() as patch:
+            patch.setattr(sequences, "_units_block", lambda *args, f=forge: map(f, block(*args)))
+            forged.append((run_collected(RunKind.WEAK, RunConfig(10, max_steps=8))[0], message))
+
+    def refuse(digits, base, max_bits):
+        raise AssertionError("a verifier took run's successor")
+
+    monkeypatch.setitem(_SUCCESSORS, RunKind.WEAK, refuse)
+    monkeypatch.setitem(_SUCCESSORS, RunKind.DECREASING, refuse)
+    path = tmp_path / "trace.jsonl"
+    for kind, records in genuine:
+        certificate = verify_run(records, kind)
+        pairs = zip(records, records[1:])
+        assert [check_step(prev, nxt, kind) for prev, nxt in pairs] == list(certificate.evidence)
+        if kind is RunKind.WEAK:
+            path.write_text("".join(_record_json(record) + "\n" for record in records))
+            verdict = '{"k": %d, "verdict": "AllStepsDescend", "steps_checked": 299}\n'
+            assert run_cli(capsys, "verify", str(path)) == (0, verdict % certificate.k, "")
+    for records, message in forged:
+        with pytest.raises(StepMismatch, match=f"^{re.escape(message)}$"):
+            verify_run(records)
+        with pytest.raises(StepMismatch, match=f"^{re.escape(message)}$"):
+            check_step(records[1], records[2])
+        path.write_text("".join(_record_json(record) + "\n" for record in records))
+        assert run_cli(capsys, "verify", str(path)) == (4, "", f"error: {message}\n")
 
 
 def test_verify_empty_input(tmp_path, capsys):

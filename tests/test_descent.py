@@ -88,9 +88,10 @@ def test_check_step_rejects_terminated_predecessor():
 
 
 def test_check_step_rejects_a_step_that_does_not_descend(monkeypatch):
-    # with the borrow patched out, 1000_2 -> 1000_3 passes the transition check
+    # with the borrow patched out of run's successor, 1000_2 -> 1000_3 is still
+    # refused: the verifier derives the borrow itself, 222_3 = 26
     monkeypatch.setitem(_SUCCESSORS, RunKind.WEAK, unchanged_digits)
-    message = "digits do not descend in length-first lexicographic order"
+    message = "^step 1: value 27 is not a weak successor of 8$"
     with pytest.raises(StepMismatch, match=message) as exc:
         check_step(make_record(0, 2, 8), make_record(1, 3, 27))
     assert exc.value.index == 1
@@ -108,15 +109,16 @@ def test_check_step_rejects_a_strong_step_that_does_not_descend(monkeypatch):
 @pytest.mark.parametrize(
     "kind, prev, nxt, message",
     [
-        # 455_6 -> 354_7: the borrow from the units digit also lowered the leading digit
+        # 455_6 -> 354_7: the borrow from the units digit also lowered the leading
+        # digit; the verifier derives the borrow itself, 454_7, not from _SUCCESSORS
         (
             RunKind.WEAK, make_record(0, 6, 179), make_record(1, 7, 186),
-            "digit 0, above the last nonzero digit 2",
+            "value 186 is not a weak successor of 179",
         ),
         # 2.w + 1 -> w in base 4: the units term went, and the w term lost a copy too
         (
             RunKind.STRONG, make_record(0, 3, 7), make_record(1, 4, 4),
-            "term 0, above the last term 1",
+            "the step changes term 0, above the last term 1 it lowers",
         ),
     ],
     ids=["weak", "strong"],
@@ -126,7 +128,7 @@ def test_check_step_rejects_a_descending_step_that_changes_an_entry_above_the_pi
 ):
     successor = (nxt.base, nxt.digits, nxt.value)
     monkeypatch.setitem(_SUCCESSORS, kind, lambda digits, base, max_bits: successor)
-    with pytest.raises(StepMismatch, match=f"^step 1: the step changes {message} it lowers$"):
+    with pytest.raises(StepMismatch, match=f"^step 1: {message}$"):
         check_step(prev, nxt, kind)
 
 
@@ -579,6 +581,48 @@ def test_the_pivot_is_the_first_difference_a_scan_finds(seed):
     for prev, nxt in zip(records, records[1:]):
         padded = prev._replace(digits=(0,) * lead + prev.digits)
         assert check_step(padded, nxt, kind) == definitions.pivot(kind.value, padded, nxt)
+
+
+@st.composite
+def borrow_seeds(draw):
+    """A weak or decreasing kind, a base and the canonical digits of a record to step from.
+
+    The digits number 1 to ``3 * CUT + 1``. The zeros below the last nonzero
+    digit run from none to all but the leading one, so the borrow's pivot
+    lies anywhere from the units digit to the top, and the leading digit is
+    often 1, which a pivot at the top drops. The bases lie on both sides of
+    ``render``'s byte path, which ends at 256.
+    """
+    kind = draw(st.sampled_from([RunKind.WEAK, RunKind.DECREASING]))
+    base = draw(st.sampled_from([2, 3, 10, 255, 256, 257, 300]) | st.integers(2, 300))
+    width = draw(st.integers(1, 3 * CUT + 1))
+    zeros = draw(st.sampled_from([0, width - 1]) | st.integers(0, width - 1))
+    lead = draw(st.just(1) | st.integers(1, base - 1))
+    size = max(0, width - 2 - zeros)
+    middle = draw(st.lists(st.integers(0, base - 1), min_size=size, max_size=size))
+    pivot = [draw(st.integers(1, base - 1))] if zeros < width - 1 else []
+    return kind, base, tuple([lead] + middle + pivot + [0] * zeros)
+
+
+@settings(deadline=None, max_examples=300)
+@given(seed=borrow_seeds(), pad=st.integers(1, 3 * CUT + 1))
+@example(seed=(RunKind.WEAK, 2, definitions.digits_of(2**1000, 2)), pad=1)  # drops the leading 1
+@example(seed=(RunKind.WEAK, 3, definitions.digits_of(2 * 3**1000, 3)), pad=1)  # keeps 1,001 digits
+@example(seed=(RunKind.WEAK, 256, (1,) * 3 * CUT + (5,)), pad=1)  # lends base 256 text to base 257
+@example(seed=(RunKind.WEAK, 99, (98,) * CUT + (1, 0)), pad=1)  # lends text to a longer base
+@example(seed=(RunKind.DECREASING, 300, (299, 7) + (0,) * 2 * CUT), pad=CUT)
+def test_the_successor_record_is_the_definitions_step(seed, pad):
+    # differential: the verifier's closed form of the borrow, against the
+    # definitions' step read back into digits and text; zeros padding the
+    # predecessor change nothing
+    kind, base, digits = seed
+    prev = make_record(7, base, definitions.value_of(digits, base))
+    assert prev.digits == digits
+    expected = make_record(8, *definitions.step(kind.value, prev.value, base, 1))
+    assert descent._successor_record(prev, kind, 1) == expected
+    padded = (0,) * pad + digits
+    padded_prev = prev._replace(digits=padded, rendered=definitions.render(padded, base))
+    assert descent._successor_record(padded_prev, kind, 1) == expected
 
 
 def test_decreasing_traces_verify():

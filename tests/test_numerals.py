@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -352,6 +353,16 @@ def test_decrement_matches_value_oracle_hypothesis(value, base):
 def test_decrement_strips_leading_zeros_from_noncanonical_input():
     # (0, 0, 5) spells 5; the result must spell 4 canonically
     assert decrement_in_base((0, 0, 5), 10) == (4,)
+
+
+def test_decrement_strips_200000_leading_zeros_in_one_pass():
+    # one deletion per leading zero took seconds here; one slice takes milliseconds
+    zeros = (0,) * 200_000
+    began = time.perf_counter()
+    assert decrement_in_base(zeros + (2,), 3) == (1,)
+    assert decrement_in_base(zeros + (1, 0), 3) == (2,)
+    assert decrement_in_base(zeros + (1,), 3) == ()
+    assert time.perf_counter() - began < 1
 
 
 # --- lex_compare ----------------------------------------------------------------

@@ -22,6 +22,7 @@ from goodstein.sequences import (
     RunKind,
     RunOutcome,
     RunStatus,
+    StepRecord,
     run,
     run_collected,
     strong_step,
@@ -30,17 +31,20 @@ from goodstein.sequences import (
 
 
 def stepped_records(kind, cfg):
-    """``run(kind, cfg)``'s records, each stepped from the one before by ``_successor_record``.
+    """``run(kind, cfg)``'s records without units-digit blocks, each rendered whole.
 
-    This is ``run`` without units-digit blocks: every record after the seed
-    comes from ``_SUCCESSORS[kind]``, with its text as the verifiers make it.
+    Every record after the seed comes from ``_SUCCESSORS[kind]``, so a
+    successor patched there makes every step, where ``run`` takes only the
+    steps outside its blocks with it.
     """
     records = [next(run(kind, cfg))]
     while records[-1].value and len(records) < cfg.max_steps:
-        record = _successor_record(records[-1], kind, cfg.max_bits)
-        if record is None:  # the magnitude cap
+        prev = records[-1]
+        try:
+            base, digits, value = _SUCCESSORS[kind](prev.digits, prev.base, cfg.max_bits)
+        except MagnitudeCapExceeded:
             break
-        records.append(record)
+        records.append(StepRecord(prev.index + 1, base, value, digits, render(digits, base)))
     return records
 
 
@@ -322,12 +326,12 @@ def lowered_lead(digits, base, max_bits, weak=_SUCCESSORS[RunKind.WEAK]):
     return new_base, successor, value
 
 
-def test_a_successor_that_changes_a_digit_above_the_pivot_is_refused_although_its_text_is_lent(
+def test_a_lowered_lead_is_refused_by_its_value_where_the_verifier_lends_text(
     tmp_path, capsys, monkeypatch
 ):
     # lowering the leading digit too keeps the length, so the verifiers lend
-    # the predecessor's text above the pivot to a successor it does not spell;
-    # the shape check, which proves those digits kept, refuses the pair
+    # the predecessor's text above the pivot to the successor they derive, the
+    # borrow, which is not the one patched in: they refuse the pair by its value
     monkeypatch.setitem(_SUCCESSORS, RunKind.WEAK, lowered_lead)
     records = stepped_records(RunKind.WEAK, RunConfig(3 ** (CUT + 2) * 2 + 5, 3, 20))
     lowered = next(
@@ -336,9 +340,12 @@ def test_a_successor_that_changes_a_digit_above_the_pivot_is_refused_although_it
         if len(prev.digits) == len(nxt.digits) > CUT and prev.digits[0] != nxt.digits[0]
     )
     prev, nxt = records[lowered - 1 : lowered + 1]
-    assert nxt.rendered != render(nxt.digits, nxt.base)  # it still reads prev's leading digit
-    pivot = max(i for i, digit in enumerate(prev.digits) if digit)
-    message = f"step {lowered}: the step changes digit 0, above the last nonzero digit {pivot} it lowers"
+    base, value = definitions.step("weak", prev.value, prev.base, 1)
+    digits = definitions.digits_of(value, base)
+    assert len(digits) == len(prev.digits)  # so the expected record's text is lent
+    genuine = StepRecord(nxt.index, base, value, digits, definitions.render(digits, base))
+    assert _successor_record(prev, RunKind.WEAK, 1) == genuine != nxt
+    message = f"step {lowered}: value {nxt.value} is not a weak successor of {prev.value}"
     with pytest.raises(StepMismatch, match=f"^{message}$"):
         verify_run(records, RunKind.WEAK)
     with pytest.raises(StepMismatch, match=f"^{message}$"):
@@ -349,15 +356,14 @@ def test_a_successor_that_changes_a_digit_above_the_pivot_is_refused_although_it
     assert (code, *capsys.readouterr()) == (4, "", f"error: {message}\n")
 
 
-def test_a_successor_that_changes_a_digit_above_the_pivot_is_refused_by_its_shape_where_it_spells_its_digits(
-    tmp_path, capsys, monkeypatch
-):
-    # run renders the lowered successor whole, so its text is its digits' and
-    # differs from the text the verifiers lend it: the shape refuses it, not the text
+def test_a_lowered_lead_that_run_takes_is_refused_by_its_value(tmp_path, capsys, monkeypatch):
+    # run takes the lowered successor on a borrow from a zero units digit and
+    # renders it whole; the verifiers, which derive the borrow themselves, refuse it
     monkeypatch.setitem(_SUCCESSORS, RunKind.WEAK, lowered_lead)
     records, _ = run_collected(RunKind.WEAK, RunConfig(3 ** (CUT + 2) * 2 + 3**5, 3, 20))
     assert all(record.rendered == render(record.digits, record.base) for record in records)
-    message = "step 1: the step changes digit 0, above the last nonzero digit 61 it lowers"
+    assert records[1].digits[0] == records[0].digits[0] - 1
+    message = f"step 1: value {records[1].value} is not a weak successor of {records[0].value}"
     with pytest.raises(StepMismatch, match=f"^{message}$"):
         verify_run(records, RunKind.WEAK)
     with pytest.raises(StepMismatch, match=f"^{message}$"):
