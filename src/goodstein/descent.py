@@ -26,10 +26,10 @@ every term above it. A wide weak or decreasing successor that keeps the
 length takes the predecessor's text, checked by then, above the
 predecessor's last nonzero digit: the closed form keeps those digits, so
 lent text is the rendering by construction. A certificate keeps the
-seed, its digit count and one pivot per step. One loop, ``_certify``, checks the records that
-both ``verify_run`` and ``goodstein verify`` read, and one function,
-``_step``, checks each pair of them: ``check_step`` is that function on
-one pair.
+seed, its digit count and one pivot per step. One loop, ``_certify``,
+checks the records that both ``verify_run`` and ``goodstein verify``
+read, and one function, ``_step``, checks each pair of them:
+``check_step`` is that function on one pair.
 """
 
 from __future__ import annotations
@@ -99,9 +99,9 @@ def check_step(prev: StepRecord, nxt: StepRecord, kind: RunKind = RunKind.WEAK) 
     ``prev``'s last nonzero digit (weak and decreasing), or of the last
     top-level term of its hereditary tree (strong), the first position
     where the step's digits, zero-padded to ``prev``'s width, or terms
-    differ. ``prev``'s text is
-    not checked, so the text lent to a wide successor is ``prev``'s digits
-    rendered again; past the int<->str limit its base raises ValueError.
+    differ. ``prev``'s text is not checked, so the text lent to a wide
+    successor is ``prev``'s digits rendered again; past the int<->str
+    limit its base raises ValueError.
     """
     expected = None
     if nxt.index == prev.index + 1:  # else _step reports the index first
@@ -218,7 +218,8 @@ def _step(
     if after >= before:
         raise StepMismatch(nxt.index, "hereditary trees do not descend in Cantor normal form order")
     changed = next(i for i, (a, b) in enumerate(zip(after, before)) if a != b)
-    raise StepMismatch(nxt.index, f"the step changes term {changed}, above the last term {pivot} it lowers")
+    shape = f"the step changes term {changed}, above the last term {pivot} it lowers"
+    raise StepMismatch(nxt.index, shape)
 
 
 def _certify(
