@@ -16,18 +16,24 @@ int<->str limit: for argument parsing and for every subcommand but ``verify``.
 ``verify`` reads a trace into ``descent._certify``, the loop that
 ``verify_run`` also runs, and keeps only the line handling here, in one
 line loop, ``_trace_pairs``. For ``verify`` it compares each line after
-the seed with the line ``run`` writes for the expected successor of the
-record before it, and decodes only the lines that differ: the seed,
-summaries and certificates, other JSON layouts and forgeries. For
+the seed with the line ``run`` writes for the record expected there, and
+decodes only the lines that differ: the seed, summaries and
+certificates, other JSON layouts and forgeries. Inside a units block,
+the steps after a record whose units digit is nonzero, that record is
+the next of ``descent._units_steps``, fields with no ``StepRecord``, and
+a line that matches it costs one format and one comparison; the block
+goes to ``_certify`` as one item once a line differs or the trace ends.
+Elsewhere it is the expected successor of the record before. For
 ``_read_trace`` it decodes every line and builds no successor, so
 ``verify_run(_read_trace(handle))``, whose result ``verify`` gives, is a
 reference that shares no text comparison with it.
 
 ``run --format jsonl`` writes, and ``verify`` compares, record lines made
-by one formatter per trace, ``_jsonl_lines``. It keeps the JSON of the
-last record's high digits, all but the units digit, so a record that
-keeps them, as a units-only weak or decreasing step does, costs one
-f-string. ``_record_json`` is the line of one record on its own.
+by one formatter per trace, ``_jsonl_lines``, from a record's five
+fields. It keeps the JSON of the last record's high digits, all but the
+units digit, so a record that keeps them, as a units-only weak or
+decreasing step does, costs one f-string. ``_record_json`` is the line
+of one record on its own.
 
 ``run`` gathers its lines and hands them to ``sys.stdout.write`` joined
 once they reach ``_CHUNK`` characters, so a write-through or line-buffered
@@ -47,7 +53,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, Optional, Sequence, TextIO
 
-from .descent import DescentCertificate, _certify, _successor_record, verify_run
+from .descent import DescentCertificate, _certify, _successor_record, _units_steps, verify_run
 from .errors import EmptyRun, GoodsteinError, StepMismatch
 from .hereditary import build_hereditary, render_tree_dot, render_tree_text
 from .numerals import from_digits, to_digits
@@ -130,29 +136,29 @@ def cmd_hereditary(args: argparse.Namespace) -> int:
     return 0
 
 
-def _jsonl_lines() -> Callable[[StepRecord], str]:
+def _jsonl_lines() -> Callable[[tuple], str]:
     """A formatter for the records of one trace, in order: ``_record_json`` of each.
 
-    It keeps the last high-digit tuple, every digit but the units digit,
-    with its JSON, so a record that keeps them, as a units-only step of a
-    weak or decreasing run does, formats only its units digit.
+    It takes a ``StepRecord`` or a plain tuple of its five fields. It keeps
+    the last high-digit tuple, every digit but the units digit, with its
+    JSON, so a record that keeps them, as a units-only step of a weak or
+    decreasing run does, formats only its units digit.
     """
     high: Optional[Sequence[int]] = None
     high_json = ""
 
-    def line(record: StepRecord) -> str:
+    def line(record: tuple) -> str:
         # The bytes of json.dumps on the record's dict, without building the dict.
         # Every field but ``rendered`` is decimal text, which needs no escaping.
         nonlocal high, high_json
-        digits = record.digits
+        index, base, value, digits, rendered = record
         if digits[:-1] != high:
             high_json = "".join([f'"{d}", ' for d in digits[:-1]])
             high = digits[:-1]
         units = f'"{digits[-1]}"' if digits else ""
         return (
-            f'{{"index": {record.index}, "base": "{record.base}", "value": "{record.value}", '
-            f'"digits": [{high_json}{units}], '
-            f'"rendered": {encode_basestring_ascii(record.rendered)}}}'
+            f'{{"index": {index}, "base": "{base}", "value": "{value}", '
+            f'"digits": [{high_json}{units}], "rendered": {encode_basestring_ascii(rendered)}}}'
         )
 
     return line
@@ -268,22 +274,41 @@ def _check_trailer(obj: dict, lineno: int, last: Optional[StepRecord], k: int, c
 
 def _trace_pairs(
     handle: TextIO, kind: Optional[RunKind]
-) -> Iterator[tuple[StepRecord, Optional[StepRecord]]]:
-    """Yield each record of a JSONL trace with its expected record, one line at a time.
+) -> Iterator[tuple[StepRecord, Optional[StepRecord], int]]:
+    """Yield the items of a JSONL trace that ``descent._certify`` checks, one line at a time.
 
     With a ``kind``, each line after the seed is first compared with the
-    line ``run`` writes for the expected ``kind`` successor of the record
-    before it. A line that equals it is that expected record and is not
-    decoded; any other line is. With ``kind=None`` every line is decoded
-    and no successor is built, so the expected record is None. A run
-    summary or certificate line must agree with the records before it, and
-    no record may follow one. The first problem in file order decides.
+    line ``run`` writes for the record expected there. After a record of at
+    least two digits whose units digit is nonzero, that is the next record
+    of ``descent._units_steps``, a units block: a line that equals it costs
+    one comparison and no record, and the block goes to ``_certify`` as one
+    item, its last record with its step count, once a line differs or the
+    trace ends. Any other line is compared with the expected successor of
+    the record before it and, unless it equals it, decoded. Such a line
+    goes as an item of one step, the record with its expected record. With
+    ``kind=None`` every line is decoded and no successor is built, so the
+    expected record is None. A run summary or certificate line must agree
+    with the records before it, and no record may follow one. The first
+    problem in file order decides.
     """
     prev, k, count, ended, record_json = None, 0, 0, False, _jsonl_lines()
+    block, last, steps = iter(()), None, 0
     for lineno, line in enumerate(handle, 1):
         line = line.strip()
         if not line:
             continue
+        fields = next(block, None)
+        try:
+            if fields is not None and line == record_json(fields):
+                last, steps = fields, steps + 1
+                continue
+        except ValueError:  # text past the int<->str limit matches no line
+            pass
+        block = iter(())
+        if steps:  # the block ends before this line
+            prev, count = StepRecord._make(last), count + steps
+            yield prev, prev, steps
+            steps = 0
         nxt = expected = None
         if kind is not None and prev is not None and not ended:
             # a line of L characters spells fewer than 4 * L bits
@@ -291,7 +316,7 @@ def _trace_pairs(
             try:
                 if expected is not None and line == record_json(expected):
                     nxt = expected
-            except ValueError:  # text past the int<->str limit matches no line
+            except ValueError:  # as above
                 pass
         if nxt is None:
             try:
@@ -313,7 +338,12 @@ def _trace_pairs(
         if count == 0:
             k = len(nxt.digits)
         prev, count = nxt, count + 1
-        yield nxt, expected
+        yield nxt, expected, 1
+        if kind is not None:  # _certify has checked nxt by the time it draws the next item
+            block = _units_steps(nxt, kind)
+    if steps:
+        last = StepRecord._make(last)
+        yield last, last, steps
 
 
 def _read_trace(handle: TextIO) -> Iterator[StepRecord]:
@@ -322,7 +352,7 @@ def _read_trace(handle: TextIO) -> Iterator[StepRecord]:
     ``verify_run(_read_trace(handle))`` is the reference for
     ``_verify_trace``, which reads the same lines with fewer decodes.
     """
-    return (record for record, _ in _trace_pairs(handle, None))
+    return (record for record, _, _ in _trace_pairs(handle, None))
 
 
 def _verify_trace(handle: TextIO) -> DescentCertificate:

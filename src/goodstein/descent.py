@@ -30,6 +30,14 @@ seed, its digit count and one pivot per step. One loop, ``_certify``,
 checks the records that both ``verify_run`` and ``goodstein verify``
 read, and one function, ``_step``, checks each pair of them:
 ``check_step`` is that function on one pair.
+
+After a record of two or more digits whose units digit ``u`` is nonzero,
+the closed form lowers only the units digit for ``u`` steps, Cichoń's
+``H_{α+c}(n) = H_α(n+c)``: ``_units_steps`` derives those records from the
+high digits and the text above the units digit, found once per block.
+``goodstein verify`` matches a block's lines to them by text, so
+``_certify`` takes the block as one item, its last record and its step
+count, and keeps the units digit as the pivot of each of its steps.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ArityExceeded, DomainError, EmptyRun, MagnitudeCapExceeded, StepMismatch
 from .hereditary import HereditaryTree, build_from_digits
-from .numerals import CUT, _check_digits, _evaluate, render, to_digits
+from .numerals import CUT, Digits, _check_digits, _evaluate, render, to_digits
 from .sequences import _SUCCESSORS, RunKind, StepRecord
 
 
@@ -217,29 +225,61 @@ def _step(
         return pivot, after
     if after >= before:
         raise StepMismatch(nxt.index, "hereditary trees do not descend in Cantor normal form order")
-    changed = next(i for i, (a, b) in enumerate(zip(after, before)) if a != b)
+    # a tree that is a proper prefix of prev's differs where it ends
+    changed = next((i for i, (a, b) in enumerate(zip(after, before)) if a != b), len(after))
     shape = f"the step changes term {changed}, above the last term {pivot} it lowers"
     raise StepMismatch(nxt.index, shape)
 
 
-def _certify(
-    pairs: Iterable[tuple[StepRecord, Optional[StepRecord]]], kind: RunKind
-) -> DescentCertificate:
-    """Check a ``kind`` run given as pairs of a record and its expected record.
+def _units_steps(prev: StepRecord, kind: RunKind) -> Iterator[tuple[int, int, int, Digits, str]]:
+    """The fields of the units block after a checked ``prev``, in ``StepRecord``'s order.
 
-    That is ``_successor_record`` of the record before, checked by the time
-    the pair is drawn (None for the seed, which is checked on its own).
-    Each later pair is one ``_step``.
+    The block is empty unless ``prev`` is a weak or decreasing record of at
+    least two digits whose units digit ``u`` is nonzero. Then each of its
+    ``u`` steps starts from a nonzero units digit, so the borrow's closed
+    form (``_successor_record``) lowers that digit alone: record ``s`` has
+    digits ``high + (u - s,)``, where ``high`` is ``prev``'s other digits,
+    in base ``prev.base + s`` (weak) or ``prev.base`` (decreasing), their
+    value there, and ``prev``'s text above its units digit, lent as the
+    closed form keeps ``high``, followed by the new units digit's. The
+    pivot of each step is the units digit.
     """
-    stream = iter(pairs)
-    first, _ = next(stream, (None, None))
+    high, u = prev.digits[:-1], prev.digits[-1:]
+    if kind is RunKind.STRONG or not high:  # a zero units digit takes no steps below
+        return
+    head = prev.rendered[: len(prev.rendered) - len(render(u, prev.base))]
+    index, base, weak = prev.index, prev.base, kind is RunKind.WEAK
+    for units in range(u[0] - 1, -1, -1):
+        index, base, digits = index + 1, base + weak, high + (units,)
+        # render's text of the units digit, without a call per step
+        text = f"{head}{units}_{base}" if units < 10 else f"{head}({units})_{base}"
+        yield index, base, _evaluate(digits, base), digits, text
+
+
+def _certify(
+    items: Iterable[tuple[StepRecord, Optional[StepRecord], int]], kind: RunKind
+) -> DescentCertificate:
+    """Check a ``kind`` run given as items of a record, its expected record and a step count.
+
+    An item of one step is a record and ``_successor_record`` of the record
+    before, checked by the time the item is drawn (None for the seed,
+    which is checked on its own), and is one ``_step``. An item of more
+    steps is a units block: the last of that many records of
+    ``_units_steps`` of the record before, which the reader matched to them
+    line by line, so each step's pivot is that record's units digit.
+    """
+    stream = iter(items)
+    first, _, _ = next(stream, (None, None, 0))
     if first is None:
         raise EmptyRun("a run holds at least its seed record")
     _check_record(first)
     prev, tree, evidence = first, None, []
-    for nxt, expected in stream:
-        pivot, tree = _step(prev, nxt, kind, expected, tree)
-        evidence.append(pivot)
+    for nxt, expected, steps in stream:
+        if steps == 1:
+            pivot, tree = _step(prev, nxt, kind, expected, tree)
+            evidence.append(pivot)
+        else:
+            evidence += [len(prev.digits) - 1] * steps
         prev = nxt
     return DescentCertificate(start=first, k=len(first.digits), evidence=tuple(evidence))
 
@@ -254,11 +294,11 @@ def verify_run(records: Iterable[StepRecord], kind: RunKind = RunKind.WEAK) -> D
     descends; it keeps one pivot per pair.
     """
 
-    def pairs() -> Iterator[tuple[StepRecord, Optional[StepRecord]]]:
+    def pairs() -> Iterator[tuple[StepRecord, Optional[StepRecord], int]]:
         prev = None
         for nxt in records:
             cap = (nxt.value + 1).bit_length()
-            yield nxt, None if prev is None else _successor_record(prev, kind, cap)
+            yield nxt, None if prev is None else _successor_record(prev, kind, cap), 1
             prev = nxt
 
     return _certify(pairs(), kind)

@@ -8,14 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import definitions
-from goodstein import cli, sequences
+from goodstein import cli, descent, sequences
 from goodstein.cli import _no_int_str_limit, _read_trace, _record_from_json, _record_json, main
 from goodstein.descent import check_step, verify_run
-from goodstein.errors import StepMismatch
+from goodstein.errors import GoodsteinError, StepMismatch
 from goodstein.numerals import CUT, from_digits, render
 from goodstein.sequences import _SUCCESSORS, RunConfig, RunKind, StepRecord, run_collected
 from test_sequences import stepped_records
@@ -483,9 +483,10 @@ def test_a_wrong_units_block_is_refused(tmp_path, capsys, monkeypatch, forgery):
 
 
 def test_the_verifiers_take_no_weak_or_decreasing_successor_from_run(tmp_path, capsys, monkeypatch):
-    # the verifiers derive each weak and decreasing successor from the borrow's
-    # closed form, so with run's successors gone they certify and refuse as before;
-    # goodstein verify reads weak traces only
+    # the verifiers derive each weak and decreasing successor, units blocks
+    # included, from the borrow's closed form, so with run's successors and
+    # units blocks gone they certify and refuse as before; goodstein verify
+    # reads weak traces only
     configs = [
         (RunKind.WEAK, RunConfig(10, max_steps=300)),
         (RunKind.WEAK, RunConfig(2**999 + 12345, max_steps=300)),  # past CUT digits and base 256
@@ -499,11 +500,12 @@ def test_the_verifiers_take_no_weak_or_decreasing_successor_from_run(tmp_path, c
             patch.setattr(sequences, "_units_block", lambda *args, f=forge: map(f, block(*args)))
             forged.append((run_collected(RunKind.WEAK, RunConfig(10, max_steps=8))[0], message))
 
-    def refuse(digits, base, max_bits):
+    def refuse(*args):
         raise AssertionError("a verifier took run's successor")
 
     monkeypatch.setitem(_SUCCESSORS, RunKind.WEAK, refuse)
     monkeypatch.setitem(_SUCCESSORS, RunKind.DECREASING, refuse)
+    monkeypatch.setattr(sequences, "_units_block", refuse)
     path = tmp_path / "trace.jsonl"
     for kind, records in genuine:
         certificate = verify_run(records, kind)
@@ -1134,6 +1136,83 @@ def test_verify_matches_the_reader_that_decodes_every_line(start, steps, verify,
         main(argv + ["--verify"] * verify)
     text = newline.join(edit_trace(out.getvalue().splitlines(), edits)) + newline
     assert verify_outcome(text) == verify_outcome(text, decode_every_line)
+
+
+def definitions_block(prev, kind):
+    """The records after ``prev`` up to its units digit's zero, by the definitions' step."""
+    records, (index, base, value, digits, _) = [], prev
+    for _ in range(digits[-1]):
+        base, value = definitions.step(kind.value, value, base, 1)
+        digits = definitions.digits_of(value, base)
+        index += 1
+        records.append((index, base, value, digits, definitions.render(digits, base)))
+    return records
+
+
+def certify_outcome(read):
+    try:
+        return read()
+    except GoodsteinError as exc:
+        return type(exc), str(exc)
+
+
+# where in a units block, or after it, a line is edited
+BLOCK_LINES = ["first", "middle", "last", "borrow"]
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    kind=st.sampled_from([RunKind.WEAK, RunKind.DECREASING]),
+    start=st.integers(1, 10**9),
+    base=st.one_of(st.integers(2, 20), st.integers(250, 300)),
+    steps=st.integers(2, 700),
+    where=st.sampled_from(BLOCK_LINES),
+    action=st.sampled_from(["forge", "blank", "relay", "summary"]),
+    field=st.sampled_from(["index", "base", "value", "digit", "leading_zero", "rendered"]),
+    layout=st.sampled_from(["escaped", "sorted", "compact"]),
+    data=st.data(),
+)
+@example(kind=RunKind.WEAK, start=12, base=2, steps=40, where="middle", action="forge",
+         field="value", layout="sorted", data=None)
+@example(kind=RunKind.WEAK, start=300 * 299 + 255, base=299, steps=700, where="borrow",
+         action="forge", field="rendered", layout="sorted", data=None)
+@example(kind=RunKind.DECREASING, start=257 * 258 + 257, base=258, steps=300, where="last",
+         action="forge", field="digit", layout="compact", data=None)
+def test_units_blocks_verify_as_the_reader_that_decodes_every_line(
+    kind, start, base, steps, where, action, field, layout, data
+):
+    # a units block is the lines after a record of two or more digits whose units
+    # digit u is nonzero, up to u of them, which verify matches by text alone
+    records, _ = run_collected(kind, RunConfig(start, base, steps))
+    blocks = []
+    for at, prev in enumerate(records[:-1]):
+        if len(prev.digits) > 1 and prev.digits[-1]:
+            at_line = {
+                "first": at + 1,
+                "middle": at + 1 + (min(prev.digits[-1], len(records) - 1 - at) - 1) // 2,
+                "last": at + prev.digits[-1],
+                "borrow": at + prev.digits[-1] + 1,
+            }
+            if at_line[where] < len(records):
+                blocks.append((prev, at_line[where]))
+    assume(blocks)
+    prev, line = blocks[0] if data is None else data.draw(st.sampled_from(blocks), label="block")
+    # the block's records are the definitions' step, iterated
+    block = list(descent._units_steps(prev, kind))
+    assert block == definitions_block(prev, kind)
+    ran = records[prev.index + 1 : prev.index + 1 + len(block)]
+    assert ran == block[: len(ran)]
+    status = "TerminatedAtZero" if records[-1].value == 0 else "StepCapReached"
+    lines = [_record_json(record) for record in records]
+    lines.append(json.dumps({"status": status, "steps_emitted": len(records)}))
+    edits = [(action, line, field, layout, 0)]
+    text = "\n".join(edit_trace(lines, edits)) + "\n"
+    if kind is RunKind.WEAK:
+        assert verify_outcome(text) == verify_outcome(text, decode_every_line)
+    pairs = cli._trace_pairs(io.StringIO(text), kind)
+    by_text = certify_outcome(lambda: descent._certify(pairs, kind))
+    decoded = certify_outcome(lambda: verify_run(_read_trace(io.StringIO(text)), kind))
+    assert by_text == decoded
 
 
 # --- packaging ---------------------------------------------------------------------------

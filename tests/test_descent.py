@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import definitions
 from goodstein import descent
+from goodstein.cli import main
 from goodstein.descent import check_step, rank, verify_run
 from goodstein.errors import ArityExceeded, DigitOutOfRange, EmptyRun, GoodsteinError, StepMismatch
 from goodstein.hereditary import build_from_digits
@@ -130,6 +131,29 @@ def test_check_step_rejects_a_descending_step_that_changes_an_entry_above_the_pi
     monkeypatch.setitem(_SUCCESSORS, kind, lambda digits, base, max_bits: successor)
     with pytest.raises(StepMismatch, match=f"^step 1: {message}$"):
         check_step(prev, nxt, kind)
+
+
+def test_a_strong_successor_whose_tree_is_a_prefix_of_the_predecessors_is_refused(
+    monkeypatch, capsys
+):
+    # w^2 + w + 1 -> w^2 in base 4: the tree descends, but the term it changes,
+    # term 1, is past the end of the shorter tree, so no pair of terms differs
+    strong = _SUCCESSORS[RunKind.STRONG]
+
+    def dropped_terms(digits, base, max_bits):
+        if (tuple(digits), base) == ((1, 1, 1), 3):
+            return 4, (1, 0, 0), 16
+        return strong(digits, base, max_bits)
+
+    monkeypatch.setitem(_SUCCESSORS, RunKind.STRONG, dropped_terms)
+    message = "step 1: the step changes term 1, above the last term 2 it lowers"
+    prev, nxt = make_record(0, 3, 13), make_record(1, 4, 16)
+    with pytest.raises(StepMismatch, match=f"^{message}$"):
+        check_step(prev, nxt, RunKind.STRONG)
+    with pytest.raises(StepMismatch, match=f"^{message}$"):
+        verify_run([prev, nxt], RunKind.STRONG)
+    assert main(["run", "strong", "--start", "13", "--base", "3", "--verify"]) == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_check_step_rejects_a_forgery_of_a_huge_successor_fast(monkeypatch):
@@ -284,11 +308,9 @@ def ordered_check(prev, nxt, kind):
         return nxt.index, f"base {nxt.base} does not follow base {prev.base}"
     if nxt.rendered != definitions.render(digits, base):
         return nxt.index, f"rendered {nxt.rendered!r} does not match the digits"
+    # nxt is the definitions' successor, which descends in every kind's order
     order = definitions.order_key
-    if not order(kind.value, value, base) < order(kind.value, prev.value, prev.base):
-        if kind is RunKind.STRONG:
-            return nxt.index, "hereditary trees do not descend in Cantor normal form order"
-        return nxt.index, "digits do not descend in length-first lexicographic order"
+    assert order(kind.value, value, base) < order(kind.value, prev.value, prev.base)
     return None
 
 
